@@ -281,12 +281,12 @@ fn kernel_breakdown(s: &Scenario) -> Vec<(String, u64, f64)> {
 }
 
 /// Prune-rate counters from one pruned run on the gate scenario:
-/// candidates skipped against the admissible bound, raw bound rejects,
-/// offset planes actually built, and interior pixels swept — the
-/// non-vacuity evidence behind the speedup headline, carried in the
-/// JSON document so a regression to "prunes nothing" is visible even
-/// when wall-clock noise masks it.
-fn prune_counters(s: &Scenario) -> [(&'static str, u64); 4] {
+/// candidates skipped against the admissible bound, offset planes
+/// actually built, and interior pixels swept — the non-vacuity evidence
+/// behind the speedup headline, carried in the JSON document so a
+/// regression to "prunes nothing" is visible even when wall-clock noise
+/// masks it.
+fn prune_counters(s: &Scenario) -> [(&'static str, u64); 3] {
     let cfg = config_for(s);
     let frames = shifted_frames(s.side, s.side, 1.0, 0.0, &cfg);
     let region = Region::Interior {
@@ -296,7 +296,6 @@ fn prune_counters(s: &Scenario) -> [(&'static str, u64); 4] {
     sma_obs::set_level(sma_obs::ObsLevel::Summary);
     let names = [
         "prune.candidates_skipped",
-        "prune.bound_rejects",
         "pruned.offset_planes_built",
         "pruned.interior_pixels",
     ];
@@ -306,7 +305,7 @@ fn prune_counters(s: &Scenario) -> [(&'static str, u64); 4] {
     };
     black_box(track_all_pruned(&frames, &cfg, region)).expect("track");
     let snap = sma_obs::metrics::snapshot();
-    let mut out = [("", 0u64); 4];
+    let mut out = [("", 0u64); 3];
     for (i, n) in names.iter().enumerate() {
         out[i] = (*n, snap.counter(n).saturating_sub(before[i]));
     }

@@ -159,7 +159,7 @@ impl StaticMoments {
 /// T3 = zx ig^2 gy   T4 = zy ig^2 gy   T5 = ig^2 gy
 /// T6 = ie^2 gx^2    T7 = ig^2 gy^2
 /// ```
-fn offset_moments(
+pub(crate) fn offset_moments(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     stat: &StaticMoments,

@@ -48,10 +48,11 @@
 //!   one resident 8-channel offset plane per hypothesis offset —
 //!   bit-identical to [`fastpath`] on every tested scene, ≥3× faster
 //!   on the medium bench scenario;
-//! * [`pruned`] — the pruned-search family: candidates ordered from a
-//!   coarse decimated-lattice seed and rejected early by an admissible
-//!   lower bound on the hypothesis error, with full offset planes built
-//!   lazily only where a candidate survives — bit-identical to the
+//! * [`pruned`] — the pruned-search family: one seed-first sweep over
+//!   the hypothesis offsets that rejects candidates by an admissible
+//!   coarse decimated-lattice lower bound on the hypothesis error,
+//!   building each offset's plane at most once, into one resident
+//!   buffer, only where a candidate survives — bit-identical to the
 //!   SIMD/integral block by construction;
 //! * [`timing`] — the calibrated workload/rate model that regenerates
 //!   the paper's Tables 2 and 4, Fig. 4 and the speed-up headlines;

@@ -92,7 +92,7 @@ pub const PARALLEL_MIN_AREA: usize = 1 << 15;
 /// for itself when there are enough candidates to reject. The hotpath
 /// bench puts the cutover below a 5 x 5 sweep — the pruned driver is
 /// ~2.5x faster than the exhaustive SIMD sweep even on the small
-/// 25-hypothesis scenario, since most of a ring's planes never build —
+/// 25-hypothesis scenario, since most offsets' planes never build —
 /// so only genuinely tiny sweeps (3 x 3) keep the plain SIMD strategy.
 pub const PRUNE_MIN_HYPOTHESES: usize = 25;
 

@@ -1,13 +1,13 @@
-//! The pruned-search fastpath driver family: coarse-lattice candidate
-//! ordering plus admissible early termination, bit-identical to the
-//! SIMD/integral block.
+//! The pruned-search fastpath driver family: a coarse-lattice screen
+//! plus admissible early termination in one seed-first sweep over a
+//! single resident offset plane, bit-identical to the SIMD/integral
+//! block.
 //!
 //! The exhaustive fastpath drivers evaluate every pixel against every
 //! hypothesis offset — `(2 Nzs + 1)^2` O(1) moment evaluations per
-//! pixel, plus one full 8-channel offset SAT *build* per offset. On the
-//! bench scenes the plane builds and the evaluations split the runtime
-//! roughly 40/60, so a pruned search must cut both. This driver does it
-//! in three moves:
+//! pixel, plus one full 8-channel offset SAT *build* per offset. This
+//! driver cuts the evaluations in three moves and keeps the moment store
+//! at one plane:
 //!
 //! 1. **Coarse screening bound.** For each candidate `(pixel, offset)`
 //!    it computes a *lower bound* on the minimized hypothesis error from
@@ -22,16 +22,22 @@
 //!    (keeping samples) rather than blurring (mixing them) is what makes
 //!    the coarse level *admissible*. Only the a-block is screened: the
 //!    bound must cost less than the O(1) evaluation it replaces, and
-//!    one 4-channel lookup plus one 3 x 3 quadratic does.
-//! 2. **Seed-and-ring candidate ordering.** Each pixel's candidates are
-//!    visited starting from the offset with the smallest bound (the
-//!    coarse level's displacement estimate), then in growing Chebyshev
-//!    rings around that seed. A good first candidate drives the running
-//!    best error down immediately, which makes the screen maximally
-//!    selective for everything visited later. Surviving candidates are
-//!    binned per offset and evaluated offset-major in ascending raster
-//!    order, so full offset planes are built **lazily** — an offset
-//!    rejected for every pixel never builds its plane at all.
+//!    one 4-channel lookup plus one 3 x 3 quadratic does. The bounds are
+//!    filled offset-major from one zero-padded decimated table refilled
+//!    per offset, with each pixel's window corners computed once, and
+//!    each pixel's *seed* — its bound argmin, the coarse level's
+//!    displacement estimate — is folded into the fill.
+//! 2. **Seed-first single sweep.** Offsets are then visited once each:
+//!    the distinct seed offsets first (most-seeded first), then the rest
+//!    in ascending raster order. At each offset a pixel is evaluated if
+//!    the offset is its seed or its bound passes the skip threshold of
+//!    its running best; otherwise the candidate is skipped for good.
+//!    Meeting the seed early drives each pixel's best down at once, which
+//!    makes the screen selective for everything visited later. The
+//!    offset's plane is built — into the one reused `OffsetPlanes`
+//!    buffer, and only over the block the evaluated windows read — when
+//!    at least one pixel is evaluated there, so a call builds each plane
+//!    at most once and holds one plane at a time.
 //! 3. **Safe termination, not approximate termination.** A candidate is
 //!    skipped only when its deflated bound exceeds
 //!    `(best + NEAR_TIE_ABS) / (1 - NEAR_TIE_REL)` — strictly outside
@@ -39,10 +45,11 @@
 //!    never be skipped (its true error is below every incumbent), no
 //!    skipped candidate can change the near-tie verdict (it is provably
 //!    outside the band around the final best), and every *evaluated*
-//!    candidate reuses the SIMD driver's own [`OffsetPlanes`] SAT and
-//!    LU solve — the same bits in the same order. Output is therefore
-//!    bit-identical to [`crate::simd`] / [`crate::fastpath`] by
-//!    construction; the conformance matrix pins it at run time.
+//!    candidate goes through the SIMD driver's own evaluation
+//!    ([`crate::simd`]'s `eval_candidate`: same plane SAT, same LU
+//!    solve) — the same bits whatever the visit order. Output is
+//!    therefore bit-identical to [`crate::simd`] / [`crate::fastpath`]
+//!    by construction; the conformance matrix pins it at run time.
 //!
 //! The screen arms only when it is provably safe: continuous model
 //! (the semi-fluid correspondence search prices each decimated sample
@@ -56,40 +63,34 @@
 
 use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
-use sma_grid::prune::{inv3, quad_min, DecimatedMoments};
-use sma_grid::{Grid, Vec2};
-use sma_linalg::gauss::Lu6;
+use sma_grid::prune::{inv3, quad_min, DecimatedMoments, EvenWindow};
+use sma_grid::Grid;
 
-use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
-use crate::fastpath::{
-    ata_from_static, atb_from_moments, btb_from_moments, moment_error, near_tie, static_channels,
-    StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL,
-};
-use crate::motion::{
-    refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
-    HYPOTHESES,
-};
+use crate::fastpath::{near_tie, static_channels, StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL};
+use crate::motion::{track_pixel, MotionEstimate, SmaFrames};
 use crate::sequential::{Region, SmaResult};
-use crate::simd::{EvalState, OffsetPlanes, PixelSystem};
+use crate::simd::{
+    eval_candidate, gradient_planes, prefactor, sat_extent, EvalState, OffsetPlanes, PixelSystem,
+};
 
 /// Border pixels routed to the exact kernel (window crosses the edge).
 static PRUNED_BORDER: sma_obs::Counter = sma_obs::Counter::new("pruned.border_fallback_pixels");
 /// Interior pixels served by the pruned moment path.
 static PRUNED_INTERIOR: sma_obs::Counter = sma_obs::Counter::new("pruned.interior_pixels");
-/// Full offset planes actually built (the lazy-build saving shows as
-/// this counter staying far below `(2 Nzs + 1)^2`).
+/// Full offset planes actually built: each offset's plane is built at
+/// most once per call, and only when some pixel is evaluated there, so
+/// this stays at or below `(2 Nzs + 1)^2`.
 static PRUNED_PLANES: sma_obs::Counter = sma_obs::Counter::new("pruned.offset_planes_built");
 /// Per-pixel `A^T A` LU factorizations (one per interior pixel).
 static PRUNED_FACTORIZATIONS: sma_obs::Counter = sma_obs::Counter::new("pruned.lu_factorizations");
 /// Pixels re-routed to the exact kernel by the shared near-tie guard.
 static PRUNED_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("pruned.near_tie_pixels");
-/// Candidates rejected by the admissible bound at ring-binning time.
-static BOUND_REJECTS: sma_obs::Counter = sma_obs::Counter::new("prune.bound_rejects");
-/// Total candidates never fully evaluated: bound rejects plus
-/// second-chance skips (the incumbent improved between binning and
-/// evaluation). The non-vacuity tests pin this above zero so the screen
-/// cannot silently degrade to an exhaustive sweep.
+/// Candidates never fully evaluated: at its offset's turn in the sweep,
+/// the candidate was not its pixel's seed and its bound exceeded the
+/// skip threshold of the pixel's running best. The non-vacuity tests pin
+/// this above zero so the screen cannot silently degrade to an
+/// exhaustive sweep.
 static CANDIDATES_SKIPPED: sma_obs::Counter = sma_obs::Counter::new("prune.candidates_skipped");
 
 /// Magnitude ceiling for the screen-arming scan. With every per-pixel
@@ -135,13 +136,25 @@ fn skip_threshold(best: f64) -> f64 {
     }
 }
 
-/// Per-pixel screening state: the even-lattice static window sums and
-/// the inverted a-block. `inv_a = None` (singular or empty subset)
-/// makes the pixel unscreenable — its bound is zero, which rejects
-/// nothing.
+/// A pixel's cached sweep threshold: [`skip_threshold`] of its running
+/// best, or NaN once the pixel is done (it holds an exact-kernel result
+/// and takes no further candidates, evaluated or skipped).
+fn search_threshold(st: &EvalState) -> f64 {
+    if st.done {
+        f64::NAN
+    } else {
+        skip_threshold(st.best.error)
+    }
+}
+
+/// Per-pixel screening state: the hoisted corners of the pixel's
+/// even-lattice template window, its static subset sums and the inverted
+/// a-block. A pixel without one (no even sample, or a singular a-block)
+/// is unscreenable — its bound is zero, which rejects nothing.
 struct PixelScreen {
-    inv_a: Option<[f64; 9]>,
-    s_sub: [f64; STATIC_A_CHANNELS],
+    win: EvenWindow,
+    inv_a: [f64; 9],
+    s_sub: [f64; 3],
 }
 
 /// Track every pixel of `region` with the pruned-search moment path,
@@ -276,47 +289,8 @@ fn track_pruned_impl(
     // hoisted gradient planes, same per-pixel factorization.
     let static_span = sma_obs::span("pruned_static");
     let stat = StaticMoments::compute(frames);
-    let gx_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.ni / a.nk
-    });
-    let gy_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.nj / a.nk
-    });
-
-    let prefactor = |&(x, y): &(usize, usize)| -> (PixelSystem, EvalState) {
-        let s = stat.sat.window_sum(x, y, nt);
-        if !s.iter().all(|v| v.is_finite()) {
-            // Corrupted static moments: re-route through the exact
-            // kernel now and skip the search — the other fastpath
-            // drivers take the same route at their first evaluation.
-            sma_fault::note_natural_degradation();
-            return (
-                PixelSystem {
-                    s,
-                    ata: [0.0; 36],
-                    lu: None,
-                },
-                EvalState {
-                    best: track_pixel(frames, cfg, x, y),
-                    second: f64::NEG_INFINITY,
-                    done: true,
-                },
-            );
-        }
-        let ata = ata_from_static(&s);
-        PRUNED_FACTORIZATIONS.incr();
-        let lu = Lu6::factor(&ata).ok();
-        (
-            PixelSystem { s, ata, lu },
-            EvalState {
-                best: MotionEstimate::invalid(),
-                second: f64::INFINITY,
-                done: false,
-            },
-        )
-    };
+    let (gx_plane, gy_plane) = gradient_planes(frames);
+    let prefactor = |&p: &(usize, usize)| prefactor(frames, cfg, &stat, p, &PRUNED_FACTORIZATIONS);
     let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
         interior.par_iter().map(prefactor).unzip()
     } else {
@@ -324,123 +298,51 @@ fn track_pruned_impl(
     };
     drop(static_span);
 
-    // One candidate evaluation against a *full* offset SAT — the exact
-    // code path of the SIMD driver's inner loop, so every evaluated
-    // candidate produces the same bits it would there, regardless of
-    // the order candidates are visited in.
-    let eval_one = |planes: &OffsetPlanes,
-                    (x, y): (usize, usize),
-                    sys: &PixelSystem,
-                    st: &EvalState,
-                    ox: isize,
-                    oy: isize| {
-        let mut out = st.clone();
-        let t = planes.window_sum(x, y, nt);
-        if !t.iter().all(|v| v.is_finite()) {
-            sma_fault::note_natural_degradation();
-            out.best = track_pixel(frames, cfg, x, y);
-            out.second = f64::NEG_INFINITY;
-            out.done = true;
-            return out;
-        }
-        HYPOTHESES.incr();
-        GE_SOLVES.incr();
-        let s = &sys.s;
-        let atb = atb_from_moments(s, &t);
-        let btb = btb_from_moments(s, &t);
-        let sol = match &sys.lu {
-            Some(lu) => {
-                let mut b = atb;
-                lu.solve(&mut b);
-                b
-            }
-            None => {
-                // Singular pixel: `solve6` fails for every hypothesis
-                // of this pixel, so the armed-mode translation-only
-                // fallback (or the disarmed skip) applies uniformly.
-                if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
-                    return out;
-                }
-                sma_fault::note_natural_degradation();
-                [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
-            }
-        };
-        let error = moment_error(&sys.ata, &atb, btb, &sol);
-        if error < out.best.error {
-            out.second = out.best.error;
-            let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-            let z0 = surface_delta(frames, x, y, rx, ry);
-            out.best = MotionEstimate {
-                displacement: Vec2::new(rx as f32, ry as f32),
-                affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
-                error,
-                valid: true,
-            };
-        } else if error < out.second {
-            out.second = error;
-        }
-        out
-    };
-
     let screen_on = cfg.model == MotionModel::Continuous
         && sma_grid::prune::enabled()
         && screen_inputs_bounded(frames, &stat, &gx_plane, &gy_plane);
 
+    let mut planes = OffsetPlanes::new(w, h);
+    let build_plane =
+        |planes: &mut OffsetPlanes, offset: (isize, isize), extent: (usize, usize)| {
+            let _plane_span = sma_obs::span("pruned_offset_planes");
+            PRUNED_PLANES.incr();
+            planes.build(frames, cfg, &stat, &gx_plane, &gy_plane, offset, extent);
+        };
     if !screen_on {
         // Degraded mode: a plain raster sweep, structurally the SIMD
         // driver's offset loop (one resident plane, ascending row-major
         // offsets). Bit-identity here is inheritance, not argument.
-        let mut planes = OffsetPlanes::new(w, h);
-        let mut gx_row = vec![0.0f64; w];
-        let mut gy_row = vec![0.0f64; w];
+        let extent = sat_extent(interior.iter().copied(), nt);
         for oy in -ns..=ns {
             crate::cancel::checkpoint()?;
             for ox in -ns..=ns {
-                {
-                    let _plane_span = sma_obs::span("pruned_offset_planes");
-                    PRUNED_PLANES.incr();
-                    planes.build(
-                        frames,
-                        cfg,
-                        &stat,
-                        &gx_plane,
-                        &gy_plane,
-                        ox,
-                        oy,
-                        &mut gx_row,
-                        &mut gy_row,
-                    );
-                }
+                build_plane(&mut planes, (ox, oy), extent);
                 let _eval_span = sma_obs::span("pruned_eval");
+                let eval = |((&p, sys), st): ((&(usize, usize), &PixelSystem), &mut EvalState)| {
+                    if !st.done {
+                        eval_candidate(frames, cfg, &planes, p, sys, st, ox, oy);
+                    }
+                };
                 if parallel {
-                    let updated: Vec<Option<EvalState>> = interior
+                    interior
                         .par_iter()
-                        .enumerate()
-                        .map(|(i, &p)| {
-                            if states[i].done {
-                                None
-                            } else {
-                                Some(eval_one(&planes, p, &systems[i], &states[i], ox, oy))
-                            }
-                        })
-                        .collect();
-                    for (st, up) in states.iter_mut().zip(updated) {
-                        if let Some(new) = up {
-                            *st = new;
-                        }
-                    }
+                        .zip(systems.par_iter())
+                        .zip(states.par_iter_mut())
+                        .for_each(eval);
                 } else {
-                    for (i, &p) in interior.iter().enumerate() {
-                        if !states[i].done {
-                            states[i] = eval_one(&planes, p, &systems[i], &states[i], ox, oy);
-                        }
-                    }
+                    interior
+                        .iter()
+                        .zip(systems.iter())
+                        .zip(states.iter_mut())
+                        .for_each(eval);
                 }
             }
         }
     } else {
         // --- Screening phase ---------------------------------------
-        // Even-lattice static sums and the inverted a-block, per pixel.
+        // Even-lattice static sums, the inverted a-block and the
+        // hoisted window corners, per pixel.
         let screen_span = sma_obs::span("pruned_screen");
         let dec_static: DecimatedMoments<STATIC_A_CHANNELS> =
             DecimatedMoments::from_fn(w, h, |x, y| {
@@ -448,34 +350,30 @@ fn track_pruned_impl(
                 let ch = static_channels(&stat.factors.at(x, y), g.zx, g.zy);
                 [ch[0], ch[1], ch[2], ch[3], ch[4], ch[5]]
             });
-        let screen_for = |&(x, y): &(usize, usize)| -> PixelScreen {
-            match dec_static.even_window_sum(x, y, nt) {
-                Some(s) => {
-                    let a = [
-                        s[0], s[1], -s[2], //
-                        s[1], s[3], -s[4], //
-                        -s[2], -s[4], s[5],
-                    ];
-                    PixelScreen {
-                        inv_a: inv3(&a),
-                        s_sub: s,
-                    }
-                }
-                None => PixelScreen {
-                    inv_a: None,
-                    s_sub: [0.0; STATIC_A_CHANNELS],
-                },
-            }
+        let screen_for = |&(x, y): &(usize, usize)| -> Option<PixelScreen> {
+            let win = dec_static.even_window(x, y, nt)?;
+            let s = dec_static.sum(&win);
+            let a = [
+                s[0], s[1], -s[2], //
+                s[1], s[3], -s[4], //
+                -s[2], -s[4], s[5],
+            ];
+            Some(PixelScreen {
+                win,
+                inv_a: inv3(&a)?,
+                s_sub: [s[0], s[1], s[2]],
+            })
         };
-        let screens: Vec<PixelScreen> = if parallel {
+        let screens: Vec<Option<PixelScreen>> = if parallel {
             interior.par_iter().map(screen_for).collect()
         } else {
             interior.iter().map(screen_for).collect()
         };
 
-        // One deflated lower bound per (offset, pixel), offset-major.
-        // Each offset's decimated a-channel SAT is built, consumed and
-        // dropped inside its fill — only the bounds stay resident.
+        // One deflated lower bound per (offset, pixel), offset-major,
+        // from one decimated a-channel table refilled per offset. Each
+        // pixel's seed — the offset with the smallest bound, strict `<`
+        // so the first in raster order wins ties — folds into the fill.
         let side = (2 * ns + 1) as usize;
         let n_off = side * side;
         let np = interior.len();
@@ -483,8 +381,10 @@ fn track_pruned_impl(
             .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
             .collect();
         let mut lb = vec![0.0f64; n_off * np];
-        let fill_bounds = |&(ox, oy): &(isize, isize), out: &mut [f64]| {
-            let dec: DecimatedMoments<A_CHANNELS> = DecimatedMoments::from_fn(w, h, |x, y| {
+        let mut seeds: Vec<(f64, usize)> = vec![(f64::INFINITY, 0); np];
+        let mut dec: DecimatedMoments<A_CHANNELS> = DecimatedMoments::new(w, h);
+        for (oi, (&(ox, oy), out)) in offsets.iter().zip(lb.chunks_mut(np)).enumerate() {
+            dec.fill(|x, y| {
                 let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
                 let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
                 let gx = gx_plane.at(sx, sy);
@@ -492,177 +392,106 @@ fn track_pruned_impl(
                 let t2 = ie2 * gx;
                 [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
             });
-            for (b, (&(x, y), scr)) in out.iter_mut().zip(interior.iter().zip(&screens)) {
-                *b = match (&scr.inv_a, dec.even_window_sum(x, y, nt)) {
-                    (Some(inv), Some(t)) => {
-                        let s = &scr.s_sub;
-                        let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
-                        let btb_a = t[3] - 2.0 * t[0] + s[0];
-                        let raw = quad_min(btb_a, &atb_a, inv);
-                        let guard =
-                            LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
-                        ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
+            let bound =
+                |((b, scr), seed): ((&mut f64, &Option<PixelScreen>), &mut (f64, usize))| {
+                    *b = match scr {
+                        Some(scr) => {
+                            let t = dec.sum(&scr.win);
+                            let s = &scr.s_sub;
+                            let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
+                            let btb_a = t[3] - 2.0 * t[0] + s[0];
+                            let raw = quad_min(btb_a, &atb_a, &scr.inv_a);
+                            let guard = LB_GUARD_ABS
+                                + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
+                            ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
+                        }
+                        None => 0.0,
+                    };
+                    if *b < seed.0 {
+                        *seed = (*b, oi);
                     }
-                    _ => 0.0,
                 };
-            }
-        };
-        if parallel {
-            lb.par_chunks_mut(np)
-                .zip(offsets.par_iter())
-                .for_each(|(out, o)| fill_bounds(o, out));
-        } else {
-            for (out, o) in lb.chunks_mut(np).zip(offsets.iter()) {
-                fill_bounds(o, out);
+            if parallel {
+                out.par_iter_mut()
+                    .zip(screens.par_iter())
+                    .zip(seeds.par_iter_mut())
+                    .for_each(bound);
+            } else {
+                out.iter_mut()
+                    .zip(screens.iter())
+                    .zip(seeds.iter_mut())
+                    .for_each(bound);
             }
         }
-
-        // Seed per pixel: the offset with the smallest bound — the
-        // coarse level's displacement estimate. Strict-less argmin with
-        // raster tie-breaking keeps the choice deterministic.
-        let seed_for = |i: usize| -> usize {
-            let mut bi = 0usize;
-            let mut bv = f64::INFINITY;
-            for (oi, chunk) in lb.chunks(np).enumerate() {
-                let v = chunk[i];
-                if v < bv {
-                    bv = v;
-                    bi = oi;
-                }
-            }
-            bi
-        };
-        let seed_of: Vec<usize> = if parallel {
-            (0..np).into_par_iter().map(seed_for).collect()
-        } else {
-            (0..np).map(seed_for).collect()
-        };
         drop(screen_span);
 
         // --- Search phase ------------------------------------------
-        // Round 0 evaluates each pixel's seed; round r >= 1 evaluates
-        // its Chebyshev ring r (clipped to the search square). Each
-        // offset covers every candidate exactly once. Survivors are
-        // binned per offset and evaluated offset-major ascending, with
-        // the full plane built lazily on first use.
-        let mut plane_cache: Vec<Option<OffsetPlanes>> = (0..n_off).map(|_| None).collect();
-        let mut gx_row = vec![0.0f64; w];
-        let mut gy_row = vec![0.0f64; w];
-        let mut bins: Vec<Vec<usize>> = vec![Vec::new(); n_off];
-        for round in 0..=(2 * ns) as usize {
+        // One sweep: the distinct seed offsets first, most-seeded first
+        // (so most pixels meet their likely winner before anything
+        // else), then every other offset ascending. At each offset a
+        // pixel is evaluated if this is its seed or its bound passes the
+        // skip threshold of its running best (cached per pixel, renewed
+        // after each evaluation); the offset's plane is built into the
+        // one resident buffer only when some pixel is evaluated there.
+        let mut seeded = vec![0usize; n_off];
+        for (&(_, soi), st) in seeds.iter().zip(&states) {
+            if !st.done {
+                seeded[soi] += 1;
+            }
+        }
+        let mut order: Vec<usize> = (0..n_off).filter(|&oi| seeded[oi] > 0).collect();
+        order.sort_by_key(|&oi| std::cmp::Reverse(seeded[oi]));
+        order.extend((0..n_off).filter(|&oi| seeded[oi] == 0));
+
+        let mut thr: Vec<f64> = states.iter().map(search_threshold).collect();
+        let mut todo: Vec<usize> = Vec::with_capacity(np);
+        let mut skipped = 0u64;
+        for &oi in &order {
             crate::cancel::checkpoint()?;
-            for b in bins.iter_mut() {
-                b.clear();
-            }
-            if round == 0 {
-                for (i, &soi) in seed_of.iter().enumerate() {
-                    if !states[i].done {
-                        bins[soi].push(i);
-                    }
-                }
-            } else {
-                let r = round as isize;
-                for (i, &soi) in seed_of.iter().enumerate() {
-                    if states[i].done {
-                        continue;
-                    }
-                    let (sox, soy) = offsets[soi];
-                    let thr = skip_threshold(states[i].best.error);
-                    for oy in (soy - r).max(-ns)..=(soy + r).min(ns) {
-                        if (oy - soy).abs() == r {
-                            for ox in (sox - r).max(-ns)..=(sox + r).min(ns) {
-                                let oi = ((oy + ns) * (side as isize) + (ox + ns)) as usize;
-                                if lb[oi * np + i] > thr {
-                                    BOUND_REJECTS.incr();
-                                    CANDIDATES_SKIPPED.incr();
-                                } else {
-                                    bins[oi].push(i);
-                                }
-                            }
-                        } else {
-                            for ox in [sox - r, sox + r] {
-                                if (-ns..=ns).contains(&ox) {
-                                    let oi = ((oy + ns) * (side as isize) + (ox + ns)) as usize;
-                                    if lb[oi * np + i] > thr {
-                                        BOUND_REJECTS.incr();
-                                        CANDIDATES_SKIPPED.incr();
-                                    } else {
-                                        bins[oi].push(i);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            for (oi, &(ox, oy)) in offsets.iter().enumerate() {
-                if bins[oi].is_empty() {
+            let (ox, oy) = offsets[oi];
+            todo.clear();
+            let col = &lb[oi * np..(oi + 1) * np];
+            for (i, ((&b, &t), &(_, seed))) in col.iter().zip(&thr).zip(&seeds).enumerate() {
+                if t.is_nan() {
                     continue;
                 }
-                let plane: &OffsetPlanes = plane_cache[oi].get_or_insert_with(|| {
-                    let _plane_span = sma_obs::span("pruned_offset_planes");
-                    PRUNED_PLANES.incr();
-                    let mut p = OffsetPlanes::new(w, h);
-                    p.build(
-                        frames,
-                        cfg,
-                        &stat,
-                        &gx_plane,
-                        &gy_plane,
-                        ox,
-                        oy,
-                        &mut gx_row,
-                        &mut gy_row,
-                    );
-                    p
-                });
-                let _eval_span = sma_obs::span("pruned_eval");
-                // Second chance at evaluation time: the incumbent may
-                // have improved since binning, so re-test the stored
-                // bound against the *current* threshold.
-                if parallel {
-                    let updated: Vec<(usize, Option<EvalState>)> = bins[oi]
-                        .par_iter()
-                        .map(|&i| {
-                            if states[i].done {
-                                return (i, None);
-                            }
-                            if lb[oi * np + i] > skip_threshold(states[i].best.error) {
-                                CANDIDATES_SKIPPED.incr();
-                                return (i, None);
-                            }
-                            (
-                                i,
-                                Some(eval_one(
-                                    plane,
-                                    interior[i],
-                                    &systems[i],
-                                    &states[i],
-                                    ox,
-                                    oy,
-                                )),
-                            )
-                        })
-                        .collect();
-                    for (i, up) in updated {
-                        if let Some(new) = up {
-                            states[i] = new;
-                        }
-                    }
+                if b > t && seed != oi {
+                    skipped += 1;
                 } else {
-                    for &i in &bins[oi] {
-                        if states[i].done {
-                            continue;
-                        }
-                        if lb[oi * np + i] > skip_threshold(states[i].best.error) {
-                            CANDIDATES_SKIPPED.incr();
-                            continue;
-                        }
-                        states[i] = eval_one(plane, interior[i], &systems[i], &states[i], ox, oy);
-                    }
+                    todo.push(i);
+                }
+            }
+            if todo.is_empty() {
+                continue;
+            }
+            // The plane covers only the block the evaluated windows read.
+            let extent = sat_extent(todo.iter().map(|&i| interior[i]), nt);
+            build_plane(&mut planes, (ox, oy), extent);
+            let _eval_span = sma_obs::span("pruned_eval");
+            let eval = |i: usize, st: &mut EvalState| {
+                eval_candidate(frames, cfg, &planes, interior[i], &systems[i], st, ox, oy);
+            };
+            if parallel {
+                let updated: Vec<EvalState> = todo
+                    .par_iter()
+                    .map(|&i| {
+                        let mut st = states[i].clone();
+                        eval(i, &mut st);
+                        st
+                    })
+                    .collect();
+                for (&i, st) in todo.iter().zip(updated) {
+                    thr[i] = search_threshold(&st);
+                    states[i] = st;
+                }
+            } else {
+                for &i in &todo {
+                    eval(i, &mut states[i]);
+                    thr[i] = search_threshold(&states[i]);
                 }
             }
         }
+        CANDIDATES_SKIPPED.add(skipped);
     }
 
     for (&(x, y), st) in interior.iter().zip(&states) {
@@ -709,7 +538,7 @@ mod tests {
     use crate::config::MotionModel;
     use crate::simd::track_all_simd;
     use sma_grid::warp::translate;
-    use sma_grid::BorderPolicy;
+    use sma_grid::{BorderPolicy, Vec2};
 
     fn wavy(w: usize, h: usize) -> Grid<f32> {
         Grid::from_fn(w, h, |x, y| {
@@ -827,7 +656,7 @@ mod tests {
         );
         assert!(
             planes < 25,
-            "lazy plane build degenerated to the exhaustive sweep ({planes} planes)"
+            "plane builds degenerated to the exhaustive sweep ({planes} planes)"
         );
         sma_grid::prune::set_enabled(false);
         let off = track_all_pruned(&f, &cfg, region).expect("pruned off");

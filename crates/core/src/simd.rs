@@ -15,21 +15,25 @@
 //!    geometry, but the scalar path re-divides per (pixel, offset).
 //!    Here both gradient planes are divided once; under the continuous
 //!    model each offset then reads them by clamped row shifts.
-//! 3. **One resident offset plane.** Hypotheses are evaluated
-//!    offset-at-a-time against a single reused channel-major padded SAT
-//!    (zero pad row/column makes every corner lookup branch-free), so
-//!    the moment store never holds more than one offset — the scalar
-//!    path allocates one `MomentIntegral` per offset per segment.
+//! 3. **One resident, cell-interleaved offset plane.** Hypotheses are
+//!    evaluated offset-at-a-time against a single reused padded SAT
+//!    whose cells each hold all eight channels (`[f64; 8]`, one cache
+//!    line): the zero pad row/column makes every corner lookup
+//!    branch-free, a window sum reads four cells, and a build streams one
+//!    contiguous row of cells per image row. The moment store never
+//!    holds more than one offset — the scalar path allocates one
+//!    `MomentIntegral` per offset per segment.
 //!
 //! Bit-identity is by construction, kernel by kernel: identical channel
-//! products in identical order, identical prefix-sum association,
-//! corner lookups with the same `((a - b) - c) + d` grouping (the zero
-//! pad substitutes the same literal `0.0` the scalar branches produce),
-//! the same near-tie re-route predicate ([`crate::fastpath::near_tie`]),
-//! and an LU apply proven (and tested) bit-equal to `solve6`. The
-//! conformance matrix pins the family's contract: bit-identical within
-//! the SIMD family, ULP-bounded with exact displacements against the
-//! scalar integral family.
+//! products in identical order, identical per-channel prefix-sum
+//! association (interleaving changes where a sum is stored, not how it
+//! is formed), corner lookups with the same `((a - b) - c) + d` grouping
+//! (the zero pad substitutes the same literal `0.0` the scalar branches
+//! produce), the same near-tie re-route predicate
+//! ([`crate::fastpath::near_tie`]), and an LU apply proven (and tested)
+//! bit-equal to `solve6`. The conformance matrix pins the family's
+//! contract: bit-identical within the SIMD family, ULP-bounded with
+//! exact displacements against the scalar integral family.
 
 use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
@@ -82,31 +86,47 @@ pub(crate) struct EvalState {
     pub(crate) done: bool,
 }
 
-/// One offset's eight moment channels as channel-major *padded* SATs:
-/// each table is `(w + 1) x (h + 1)` with a permanent zero row 0 and
-/// column 0, so the four-corner window lookup needs no boundary
-/// branches — the pad supplies the same literal `0.0` the scalar
-/// `rect_sum` substitutes. The buffer is built once and refilled per
+/// One offset's eight moment channels as one *padded, cell-interleaved*
+/// SAT: `(w + 1) x (h + 1)` cells, each holding all eight channel prefix
+/// sums of one pixel, with a permanent zero row 0 and column 0 so the
+/// four-corner window lookup needs no boundary branches — the pad
+/// supplies the same literal `0.0` the scalar `rect_sum` substitutes.
+/// A window sum therefore reads four cells (four cache lines) instead of
+/// 32 scattered table entries, and a build writes one contiguous row of
+/// cells per image row. The buffer is built once and refilled per
 /// offset; only the pad cells persist between fills.
 pub(crate) struct OffsetPlanes {
-    tables: Vec<Vec<f64>>,
+    cells: Vec<Cell>,
     w1: usize,
+    /// Mapped-gradient scratch rows, reused by every build.
+    gx_row: Vec<f64>,
+    gy_row: Vec<f64>,
 }
+
+/// One SAT cell: the eight channel prefix sums of one pixel, aligned to
+/// a 64-byte cache line so every corner lookup touches exactly one line.
+#[derive(Clone, Copy)]
+#[repr(C, align(64))]
+struct Cell([f64; OFFSET_CHANNELS]);
 
 impl OffsetPlanes {
     pub(crate) fn new(w: usize, h: usize) -> Self {
         Self {
-            tables: vec![vec![0.0f64; (w + 1) * (h + 1)]; OFFSET_CHANNELS],
+            cells: vec![Cell([0.0; OFFSET_CHANNELS]); (w + 1) * (h + 1)],
             w1: w + 1,
+            gx_row: vec![0.0; w],
+            gy_row: vec![0.0; w],
         }
     }
 
-    /// Fill the tables for hypothesis offset `(ox, oy)`. `gx_row` /
-    /// `gy_row` are caller-owned scratch rows (one allocation for the
-    /// whole offset loop). The per-pixel channel products and the
-    /// prefix accumulation order match
+    /// Fill the table for hypothesis offset `(ox, oy)` over the image's
+    /// top-left `cols x rows` block (see [`sat_extent`]). A SAT cell
+    /// depends only on the pixels above and left of it, so the block's
+    /// cells are exactly those of a full build; cells outside it keep
+    /// stale values that no window inside the extent reads. The per-pixel
+    /// channel products and the prefix accumulation order match
     /// [`sma_grid::MomentIntegral::from_fn`] exactly.
-    #[allow(clippy::too_many_arguments)] // hot-loop scratch threading
+    #[allow(clippy::too_many_arguments)] // per-pair statics + offset + extent
     pub(crate) fn build(
         &mut self,
         frames: &SmaFrames,
@@ -114,14 +134,14 @@ impl OffsetPlanes {
         stat: &StaticMoments,
         gx_plane: &Grid<f64>,
         gy_plane: &Grid<f64>,
-        ox: isize,
-        oy: isize,
-        gx_row: &mut [f64],
-        gy_row: &mut [f64],
+        (ox, oy): (isize, isize),
+        (cols, rows): (usize, usize),
     ) {
         let (w, h) = frames.dims();
         let w1 = self.w1;
-        for y in 0..h {
+        let gx_row = &mut self.gx_row[..cols];
+        let gy_row = &mut self.gy_row[..cols];
+        for y in 0..rows {
             match cfg.model {
                 MotionModel::Continuous => {
                     // The mapped gradient of (x, y) under (ox, oy) is the
@@ -137,7 +157,7 @@ impl OffsetPlanes {
                     // discriminant search; the gradient planes then
                     // supply the same division results the scalar
                     // `mapped_gradient` computes at the mapped point.
-                    for x in 0..w {
+                    for x in 0..cols {
                         let ((qx, qy), _) = semifluid_correspondence(
                             &frames.disc_before,
                             &frames.disc_after,
@@ -155,13 +175,19 @@ impl OffsetPlanes {
                     }
                 }
             }
-            sma_grid::simd::note_row(w);
-            let frow = stat.factors.row(y);
+            sma_grid::simd::note_row(cols);
+            // Row y of the image is padded row y + 1; its cells add the
+            // running row sums to the finished cells of padded row y.
+            let (done, rest) = self.cells.split_at_mut((y + 1) * w1);
+            let above = &done[y * w1 + 1..];
             let mut row_sum = [0.0f64; OFFSET_CHANNELS];
-            for x in 0..w {
-                let [zx_e2, zy_e2, ie2, zx_g2, zy_g2, ig2] = frow[x];
-                let gx = gx_row[x];
-                let gy = gy_row[x];
+            for (((cell, up), f), (&gx, &gy)) in rest[1..=cols]
+                .iter_mut()
+                .zip(above)
+                .zip(stat.factors.row(y))
+                .zip(gx_row.iter().zip(gy_row.iter()))
+            {
+                let [zx_e2, zy_e2, ie2, zx_g2, zy_g2, ig2] = *f;
                 let t2 = ie2 * gx;
                 let t5 = ig2 * gy;
                 let v = [
@@ -174,10 +200,9 @@ impl OffsetPlanes {
                     t2 * gx,
                     t5 * gy,
                 ];
-                for (k, tab) in self.tables.iter_mut().enumerate() {
+                for k in 0..OFFSET_CHANNELS {
                     row_sum[k] += v[k];
-                    let above = tab[y * w1 + (x + 1)];
-                    tab[(y + 1) * w1 + (x + 1)] = row_sum[k] + above;
+                    cell.0[k] = row_sum[k] + up.0[k];
                 }
             }
         }
@@ -194,26 +219,165 @@ impl OffsetPlanes {
         let bot = (y + nt + 1) * w1;
         let l = x - nt;
         let r = x + nt + 1;
+        let a = &self.cells[bot + r].0;
+        let b = &self.cells[bot + l].0;
+        let c = &self.cells[top + r].0;
+        let d = &self.cells[top + l].0;
         let mut out = [0.0f64; OFFSET_CHANNELS];
-        for (k, tab) in self.tables.iter().enumerate() {
-            out[k] = ((tab[bot + r] - tab[bot + l]) - tab[top + r]) + tab[top + l];
+        for k in 0..OFFSET_CHANNELS {
+            out[k] = ((a[k] - b[k]) - c[k]) + d[k];
         }
         out
     }
 }
 
-/// `dst[x] = src[clamp(x + ox)]`: contiguous interior copy, replicated
-/// edges — the lane-friendly form of a clamped shifted row read.
+/// Per-pixel static phase shared by the SIMD and pruned drivers: the
+/// static window sums, the assembled `A^T A` and its LU factorization
+/// (counted on `factorizations`), plus the pixel's initial search state.
+/// Non-finite static sums re-route the pixel through the exact kernel
+/// at once and mark it done — the scalar path takes the same route at
+/// its first evaluation.
+pub(crate) fn prefactor(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    stat: &StaticMoments,
+    (x, y): (usize, usize),
+    factorizations: &'static sma_obs::Counter,
+) -> (PixelSystem, EvalState) {
+    let s = stat.sat.window_sum(x, y, cfg.nzt);
+    if !s.iter().all(|v| v.is_finite()) {
+        sma_fault::note_natural_degradation();
+        return (
+            PixelSystem {
+                s,
+                ata: [0.0; 36],
+                lu: None,
+            },
+            EvalState {
+                best: track_pixel(frames, cfg, x, y),
+                second: f64::NEG_INFINITY,
+                done: true,
+            },
+        );
+    }
+    let ata = ata_from_static(&s);
+    factorizations.incr();
+    let lu = Lu6::factor(&ata).ok();
+    (
+        PixelSystem { s, ata, lu },
+        EvalState {
+            best: MotionEstimate::invalid(),
+            second: f64::INFINITY,
+            done: false,
+        },
+    )
+}
+
+/// Evaluate hypothesis `(ox, oy)` for interior pixel `(x, y)` against
+/// the offset's resident `planes`, updating the pixel's running best and
+/// runner-up in place. Every candidate of the SIMD sweep and every
+/// candidate the pruned search evaluates goes through this one function,
+/// so an evaluation yields the same bits in either driver, whatever the
+/// order candidates are visited in.
+#[allow(clippy::too_many_arguments)] // hot-loop state threading
+#[inline]
+pub(crate) fn eval_candidate(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    planes: &OffsetPlanes,
+    (x, y): (usize, usize),
+    sys: &PixelSystem,
+    st: &mut EvalState,
+    ox: isize,
+    oy: isize,
+) {
+    let t = planes.window_sum(x, y, cfg.nzt);
+    if !t.iter().all(|v| v.is_finite()) {
+        sma_fault::note_natural_degradation();
+        st.best = track_pixel(frames, cfg, x, y);
+        st.second = f64::NEG_INFINITY;
+        st.done = true;
+        return;
+    }
+    HYPOTHESES.incr();
+    GE_SOLVES.incr();
+    let s = &sys.s;
+    let atb = atb_from_moments(s, &t);
+    let btb = btb_from_moments(s, &t);
+    let sol = match &sys.lu {
+        Some(lu) => {
+            let mut b = atb;
+            lu.solve(&mut b);
+            b
+        }
+        None => {
+            // Singular pixel: `solve6` fails for every hypothesis of this
+            // pixel, so the armed-mode translation-only fallback (or the
+            // disarmed skip) applies uniformly.
+            if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
+                return;
+            }
+            sma_fault::note_natural_degradation();
+            [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
+        }
+    };
+    let error = moment_error(&sys.ata, &atb, btb, &sol);
+    if error < st.best.error {
+        st.second = st.best.error;
+        let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
+        let z0 = surface_delta(frames, x, y, rx, ry);
+        st.best = MotionEstimate {
+            displacement: Vec2::new(rx as f32, ry as f32),
+            affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
+            error,
+            valid: true,
+        };
+    } else if error < st.second {
+        st.second = error;
+    }
+}
+
+/// The observed after-motion gradient planes `(-n_i/n_k, -n_j/n_k)`,
+/// divided once per pixel of the after frame (win 2 of the module docs).
+pub(crate) fn gradient_planes(frames: &SmaFrames) -> (Grid<f64>, Grid<f64>) {
+    let (w, h) = frames.dims();
+    let gx = Grid::from_fn(w, h, |x, y| {
+        let a = frames.geo_after.at(x, y);
+        -a.ni / a.nk
+    });
+    let gy = Grid::from_fn(w, h, |x, y| {
+        let a = frames.geo_after.at(x, y);
+        -a.nj / a.nk
+    });
+    (gx, gy)
+}
+
+/// `dst[x] = src[clamp(x + ox)]` for every `x < dst.len()` (at most
+/// `src.len()`): contiguous interior copy, replicated edges — the
+/// lane-friendly form of a clamped shifted row read.
 pub(crate) fn shift_row(src: &[f64], ox: isize, dst: &mut [f64]) {
     let w = src.len();
-    let lo = ((-ox).max(0) as usize).min(w);
-    let hi = ((w as isize - ox).clamp(0, w as isize) as usize).max(lo);
+    let n = dst.len();
+    let lo = ((-ox).max(0) as usize).min(n);
+    let hi = ((w as isize - ox).clamp(0, n as isize) as usize).max(lo);
     dst[..lo].fill(src[0]);
     if hi > lo {
         let s0 = (lo as isize + ox) as usize;
         dst[lo..hi].copy_from_slice(&src[s0..s0 + (hi - lo)]);
     }
-    dst[hi..w].fill(src[w - 1]);
+    dst[hi..].fill(src[w - 1]);
+}
+
+/// The `(cols, rows)` image block an offset plane must cover so that the
+/// `(2 nt + 1)^2` window of every pixel in `pixels` reads only built
+/// cells: one past the largest window column and row.
+pub(crate) fn sat_extent(
+    pixels: impl Iterator<Item = (usize, usize)>,
+    nt: usize,
+) -> (usize, usize) {
+    pixels.fold((0, 0), |(c, r), (x, y)| {
+        (c.max(x + nt + 1), r.max(y + nt + 1))
+    })
 }
 
 /// Track every pixel of `region` with the SIMD moment path,
@@ -259,7 +423,6 @@ fn track_simd_impl(
     let bounds = region.bounds_checked(w, h)?;
     crate::cancel::checkpoint()?;
     let ns = cfg.nzs as isize;
-    let nt = cfg.nzt;
     let template = cfg.template_window();
 
     let mut best: Grid<MotionEstimate> = Grid::filled(w, h, MotionEstimate::invalid());
@@ -322,47 +485,9 @@ fn track_simd_impl(
     // per-pixel system factorization.
     let static_span = sma_obs::span("simd_static");
     let stat = StaticMoments::compute(frames);
-    let gx_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.ni / a.nk
-    });
-    let gy_plane = Grid::from_fn(w, h, |x, y| {
-        let a = frames.geo_after.at(x, y);
-        -a.nj / a.nk
-    });
+    let (gx_plane, gy_plane) = gradient_planes(frames);
 
-    let prefactor = |&(x, y): &(usize, usize)| -> (PixelSystem, EvalState) {
-        let s = stat.sat.window_sum(x, y, nt);
-        if !s.iter().all(|v| v.is_finite()) {
-            // Corrupted static moments: re-route through the exact
-            // kernel now and skip the offset loop — the scalar path
-            // takes the same route at its first evaluation.
-            sma_fault::note_natural_degradation();
-            return (
-                PixelSystem {
-                    s,
-                    ata: [0.0; 36],
-                    lu: None,
-                },
-                EvalState {
-                    best: track_pixel(frames, cfg, x, y),
-                    second: f64::NEG_INFINITY,
-                    done: true,
-                },
-            );
-        }
-        let ata = ata_from_static(&s);
-        SIMD_FACTORIZATIONS.incr();
-        let lu = Lu6::factor(&ata).ok();
-        (
-            PixelSystem { s, ata, lu },
-            EvalState {
-                best: MotionEstimate::invalid(),
-                second: f64::INFINITY,
-                done: false,
-            },
-        )
-    };
+    let prefactor = |&p: &(usize, usize)| prefactor(frames, cfg, &stat, p, &SIMD_FACTORIZATIONS);
     let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
         interior.par_iter().map(prefactor).unzip()
     } else {
@@ -373,99 +498,33 @@ fn track_simd_impl(
     // Offset loop, ascending row-major — the same hypothesis order as
     // every other driver, so strict-less winner updates agree.
     let mut planes = OffsetPlanes::new(w, h);
-    let mut gx_row = vec![0.0f64; w];
-    let mut gy_row = vec![0.0f64; w];
+    let extent = sat_extent(interior.iter().copied(), cfg.nzt);
     for oy in -ns..=ns {
         crate::cancel::checkpoint()?;
         for ox in -ns..=ns {
             {
                 let _plane_span = sma_obs::span("simd_offset_planes");
                 SIMD_PLANES.incr();
-                planes.build(
-                    frames,
-                    cfg,
-                    &stat,
-                    &gx_plane,
-                    &gy_plane,
-                    ox,
-                    oy,
-                    &mut gx_row,
-                    &mut gy_row,
-                );
+                planes.build(frames, cfg, &stat, &gx_plane, &gy_plane, (ox, oy), extent);
             }
             let _eval_span = sma_obs::span("simd_eval");
-            let eval_one = |(x, y): (usize, usize), sys: &PixelSystem, st: &EvalState| {
-                let mut out = st.clone();
-                let t = planes.window_sum(x, y, nt);
-                if !t.iter().all(|v| v.is_finite()) {
-                    sma_fault::note_natural_degradation();
-                    out.best = track_pixel(frames, cfg, x, y);
-                    out.second = f64::NEG_INFINITY;
-                    out.done = true;
-                    return out;
+            let eval = |((&p, sys), st): ((&(usize, usize), &PixelSystem), &mut EvalState)| {
+                if !st.done {
+                    eval_candidate(frames, cfg, &planes, p, sys, st, ox, oy);
                 }
-                HYPOTHESES.incr();
-                GE_SOLVES.incr();
-                let s = &sys.s;
-                let atb = atb_from_moments(s, &t);
-                let btb = btb_from_moments(s, &t);
-                let sol = match &sys.lu {
-                    Some(lu) => {
-                        let mut b = atb;
-                        lu.solve(&mut b);
-                        b
-                    }
-                    None => {
-                        // Singular pixel: `solve6` fails for every
-                        // hypothesis of this pixel, so the armed-mode
-                        // translation-only fallback (or the disarmed
-                        // skip) applies uniformly.
-                        if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
-                            return out;
-                        }
-                        sma_fault::note_natural_degradation();
-                        [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
-                    }
-                };
-                let error = moment_error(&sys.ata, &atb, btb, &sol);
-                if error < out.best.error {
-                    out.second = out.best.error;
-                    let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-                    let z0 = surface_delta(frames, x, y, rx, ry);
-                    out.best = MotionEstimate {
-                        displacement: Vec2::new(rx as f32, ry as f32),
-                        affine: LocalAffine::from_params(&sol, rx as f64, ry as f64, z0),
-                        error,
-                        valid: true,
-                    };
-                } else if error < out.second {
-                    out.second = error;
-                }
-                out
             };
             if parallel {
-                let updated: Vec<Option<EvalState>> = interior
+                interior
                     .par_iter()
-                    .enumerate()
-                    .map(|(i, &p)| {
-                        if states[i].done {
-                            None
-                        } else {
-                            Some(eval_one(p, &systems[i], &states[i]))
-                        }
-                    })
-                    .collect();
-                for (st, up) in states.iter_mut().zip(updated) {
-                    if let Some(new) = up {
-                        *st = new;
-                    }
-                }
+                    .zip(systems.par_iter())
+                    .zip(states.par_iter_mut())
+                    .for_each(eval);
             } else {
-                for (i, &p) in interior.iter().enumerate() {
-                    if !states[i].done {
-                        states[i] = eval_one(p, &systems[i], &states[i]);
-                    }
-                }
+                interior
+                    .iter()
+                    .zip(systems.iter())
+                    .zip(states.iter_mut())
+                    .for_each(eval);
             }
         }
     }
@@ -508,7 +567,7 @@ fn track_simd_impl(
 mod tests {
     use super::*;
     use crate::config::MotionModel;
-    use crate::fastpath::track_all_integral;
+    use crate::fastpath::{offset_moments, track_all_integral};
     use sma_grid::warp::translate;
     use sma_grid::BorderPolicy;
 
@@ -528,12 +587,55 @@ mod tests {
     #[test]
     fn shift_row_matches_clamped_reads() {
         let src: Vec<f64> = (0..13).map(|i| i as f64 * 1.5 - 3.0).collect();
-        let mut dst = vec![0.0f64; 13];
-        for ox in [-20isize, -5, -1, 0, 1, 7, 20] {
-            shift_row(&src, ox, &mut dst);
-            for x in 0..13usize {
-                let want = src[(x as isize + ox).clamp(0, 12) as usize];
-                assert_eq!(dst[x].to_bits(), want.to_bits(), "ox={ox} x={x}");
+        for n in [13usize, 9, 1] {
+            let mut dst = vec![0.0f64; n];
+            for ox in [-20isize, -5, -1, 0, 1, 7, 20] {
+                shift_row(&src, ox, &mut dst);
+                for x in 0..n {
+                    let want = src[(x as isize + ox).clamp(0, 12) as usize];
+                    assert_eq!(dst[x].to_bits(), want.to_bits(), "n={n} ox={ox} x={x}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn interleaved_planes_match_moment_integral_windows() {
+        // The cell-interleaved padded table against the scalar path's
+        // `MomentIntegral<8>`, bit for bit: every width residue mod 8,
+        // both models, one buffer refilled across offsets, and every
+        // window that fits — so windows flush against all four pad
+        // edges are included.
+        for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
+            let cfg = SmaConfig::small_test(model);
+            for w in 9..=17usize {
+                let h = 12;
+                let before = wavy(w, h);
+                let after = translate(&before, -1.0, 0.5, BorderPolicy::Clamp);
+                let f =
+                    SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
+                let stat = StaticMoments::compute(&f);
+                let (gx_plane, gy_plane) = gradient_planes(&f);
+                let mut planes = OffsetPlanes::new(w, h);
+                for (ox, oy) in [(-2isize, -1isize), (0, 0), (1, 2)] {
+                    planes.build(&f, &cfg, &stat, &gx_plane, &gy_plane, (ox, oy), (w, h));
+                    let want = offset_moments(&f, &cfg, &stat, ox, oy);
+                    for nt in [0usize, 1, 3, 5] {
+                        for y in nt..h - nt {
+                            for x in nt..w - nt {
+                                let got = planes.window_sum(x, y, nt);
+                                let exp = want.window_sum(x, y, nt);
+                                for k in 0..OFFSET_CHANNELS {
+                                    assert_eq!(
+                                        got[k].to_bits(),
+                                        exp[k].to_bits(),
+                                        "{model:?} w={w} offset ({ox},{oy}) nt={nt} ({x},{y}) ch {k}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
             }
         }
     }

@@ -14,15 +14,20 @@
 //! * zero-variance windows (singular systems, unscreenable pixels);
 //! * periodic scenes where whole families of offsets tie to the bit
 //!   (the skip threshold must keep every near-tie candidate alive and
-//!   the ring ordering must reproduce raster tie-breaking).
+//!   the seed-first sweep must reproduce raster tie-breaking);
+//! * the paper's own windows (Florida 15 x 15, Luis 9 x 9 search) on
+//!   the paper-shaped satdata scenes, where seeds scatter over many
+//!   offsets and the sweep's visit order differs most from raster order.
 
 use proptest::prelude::*;
-use sma_core::sequential::Region;
+use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_pruned, track_all_pruned_parallel, track_all_simd, MotionModel, SmaConfig, SmaFrames,
+    track_all_integral, track_all_pruned, track_all_pruned_parallel, track_all_simd,
+    MotionEstimate, MotionModel, SmaConfig, SmaFrames,
 };
 use sma_grid::warp::translate;
 use sma_grid::{BorderPolicy, Grid};
+use sma_satdata::{florida_thunderstorm_analog, hurricane_luis_analog, SceneSequence};
 use std::sync::Mutex;
 
 /// Serializes the tests that flip the global `SMA_PRUNE` toggle, so one
@@ -151,7 +156,7 @@ fn zero_variance_windows_match_simd() {
 /// Adversarial near-ties: a period-2 scene aliases the search, so every
 /// offset of even displacement produces a bit-identical error. The skip
 /// threshold must keep all of them alive (they are exact ties with the
-/// winner, well inside the near-tie band) and the ring-ordered sweep
+/// winner, well inside the near-tie band) and the seed-first sweep
 /// must crown the same winner raster order would.
 #[test]
 fn periodic_near_ties_match_simd() {
@@ -166,7 +171,7 @@ fn periodic_near_ties_match_simd() {
 
 /// Diagonal periodic ties plus a flat stripe: mixes unscreenable rows
 /// into a tie-heavy scene, so skip decisions, singular fallbacks and
-/// ring ordering all fire within one run.
+/// the sweep's visit order all fire within one run.
 #[test]
 fn mixed_ties_and_flat_stripe_match_simd() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
@@ -180,4 +185,95 @@ fn mixed_ties_and_flat_stripe_match_simd() {
     let f = shifted(&before, -1.0, 1.0, &cfg);
     assert_matches_simd(&f, &cfg, Region::Full, "mixed scene");
     assert_toggle_identity(&f, &cfg, Region::Full, "mixed scene");
+}
+
+/// Every bit of one estimate: displacement, the nine affine terms, the
+/// error and the validity flag.
+fn estimate_bits(e: &MotionEstimate) -> [u64; 13] {
+    let a = &e.affine;
+    [
+        u64::from(e.displacement.u.to_bits()),
+        u64::from(e.displacement.v.to_bits()),
+        a.ai.to_bits(),
+        a.bi.to_bits(),
+        a.aj.to_bits(),
+        a.bj.to_bits(),
+        a.ak.to_bits(),
+        a.bk.to_bits(),
+        a.x0.to_bits(),
+        a.y0.to_bits(),
+        a.z0.to_bits(),
+        e.error.to_bits(),
+        u64::from(e.valid),
+    ]
+}
+
+/// Asserts two results agree on every estimate of `want`'s region, bit
+/// for bit.
+fn assert_bits_equal(want: &SmaResult, got: &SmaResult, tag: &str) {
+    assert_eq!(want.region, got.region, "{tag}: region");
+    for (x, y) in want.region.pixels() {
+        assert_eq!(
+            estimate_bits(&want.estimates.at(x, y)),
+            estimate_bits(&got.estimates.at(x, y)),
+            "{tag}: diverged at ({x},{y})"
+        );
+    }
+}
+
+/// The first two pairs of `seq` at the paper's windows, interior region:
+/// pruned sequential and parallel must equal the SIMD and the scalar
+/// integral sweeps bit for bit, and the screen toggle must not move a
+/// bit either.
+fn assert_paper_windows(seq: &SceneSequence, cfg: &SmaConfig, tag: &str) {
+    let region = Region::Interior {
+        margin: cfg.margin(),
+    };
+    for t in 0..2 {
+        let f = SmaFrames::prepare(
+            &seq.frames[t].intensity,
+            &seq.frames[t + 1].intensity,
+            seq.surface(t),
+            seq.surface(t + 1),
+            cfg,
+        )
+        .expect("prepare");
+        let simd = track_all_simd(&f, cfg, region).expect("simd");
+        let integral = track_all_integral(&f, cfg, region).expect("integral");
+        assert_bits_equal(
+            &integral,
+            &simd,
+            &format!("{tag} pair {t}: simd vs integral"),
+        );
+        let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        sma_grid::prune::set_enabled(true);
+        let seq_on = track_all_pruned(&f, cfg, region).expect("pruned");
+        let par_on = track_all_pruned_parallel(&f, cfg, region).expect("pruned par");
+        sma_grid::prune::set_enabled(false);
+        let seq_off = track_all_pruned(&f, cfg, region).expect("pruned off");
+        sma_grid::prune::set_enabled(true);
+        for (got, which) in [(&seq_on, "pruned seq"), (&par_on, "pruned par")] {
+            assert_bits_equal(&simd, got, &format!("{tag} pair {t}: {which} vs simd"));
+            assert_bits_equal(
+                &integral,
+                got,
+                &format!("{tag} pair {t}: {which} vs integral"),
+            );
+        }
+        assert_bits_equal(&seq_on, &seq_off, &format!("{tag} pair {t}: screen toggle"));
+    }
+}
+
+/// GOES-9 Florida at the paper's 15 x 15 search and template.
+#[test]
+fn florida_paper_windows_match_simd_and_integral() {
+    let cfg = SmaConfig::goes9_florida();
+    assert_paper_windows(&florida_thunderstorm_analog(64, 3, 11), &cfg, "florida");
+}
+
+/// Hurricane Luis at the paper's 9 x 9 search, 11 x 11 template.
+#[test]
+fn luis_paper_windows_match_simd_and_integral() {
+    let cfg = SmaConfig::hurricane_luis();
+    assert_paper_windows(&hurricane_luis_analog(64, 3, 12), &cfg, "luis");
 }

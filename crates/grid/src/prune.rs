@@ -26,8 +26,6 @@
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
-use crate::integral::MomentIntegral;
-
 /// Toggle state: 0 = uninitialized (consult `SMA_PRUNE`), 1 = off,
 /// 2 = on.
 static STATE: AtomicU8 = AtomicU8::new(0);
@@ -74,29 +72,78 @@ pub fn set_enabled(on: bool) {
 }
 
 /// A summed-area table over the stride-2 even lattice of a `K`-channel
-/// plane: cell `(cx, cy)` of the coarse table holds the channel values
-/// of fine pixel `(2 cx, 2 cy)`, so any rectangle sum over the coarse
-/// table is the sum over the even-coordinate subset of the
-/// corresponding fine rectangle — at a quarter of the build cost of the
-/// full-resolution table.
+/// plane: coarse cell `(cx, cy)` holds the channel values of fine pixel
+/// `(2 cx, 2 cy)`, so any rectangle sum over the coarse table is the sum
+/// over the even-coordinate subset of the corresponding fine rectangle
+/// — at a quarter of the build cost of the full-resolution table.
+///
+/// The table is **zero-padded** — `(cw + 1) x (ch + 1)` cells with a
+/// permanent zero row 0 and column 0 — so a window sum is four
+/// branch-free lookups at indices that [`DecimatedMoments::even_window`]
+/// computes once per window, and [`DecimatedMoments::fill`] refills the
+/// same buffer (the pruned drivers keep one table per pair and refill it
+/// per hypothesis offset). The pad supplies the literal `0.0` a clipped
+/// [`crate::MomentIntegral::rect_sum`] substitutes, and each cell
+/// accumulates in [`crate::MomentIntegral::from_fn`]'s order, so every
+/// sum is bit-identical to the unpadded table's.
 #[derive(Debug, Clone)]
 pub struct DecimatedMoments<const K: usize> {
-    sat: MomentIntegral<K>,
+    cells: Vec<[f64; K]>,
+    cw: usize,
+    ch: usize,
     fine_w: usize,
     fine_h: usize,
 }
 
+/// The four padded-table corner indices of one even-lattice window,
+/// hoisted out of per-offset loops: the window's position depends only
+/// on the pixel and the template radius, never on what the table holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvenWindow {
+    top_left: usize,
+    top_right: usize,
+    bottom_left: usize,
+    bottom_right: usize,
+}
+
 impl<const K: usize> DecimatedMoments<K> {
-    /// Build from a per-fine-pixel channel function, sampled on the
-    /// even lattice of a `w x h` plane in one pass.
-    pub fn from_fn(w: usize, h: usize, mut f: impl FnMut(usize, usize) -> [f64; K]) -> Self {
+    /// An all-zero table for a `w x h` fine plane, ready to
+    /// [`fill`](Self::fill).
+    pub fn new(w: usize, h: usize) -> Self {
         let cw = w.div_ceil(2).max(1);
         let ch = h.div_ceil(2).max(1);
-        let sat = MomentIntegral::from_fn(cw, ch, |cx, cy| f(2 * cx, 2 * cy));
         Self {
-            sat,
+            cells: vec![[0.0f64; K]; (cw + 1) * (ch + 1)],
+            cw,
+            ch,
             fine_w: w,
             fine_h: h,
+        }
+    }
+
+    /// Build from a per-fine-pixel channel function, sampled on the
+    /// even lattice of a `w x h` plane in one pass.
+    pub fn from_fn(w: usize, h: usize, f: impl FnMut(usize, usize) -> [f64; K]) -> Self {
+        let mut d = Self::new(w, h);
+        d.fill(f);
+        d
+    }
+
+    /// Refill every cell from `f`, sampled at the even fine pixels
+    /// `(2 cx, 2 cy)` in raster order; only the zero pad persists.
+    pub fn fill(&mut self, mut f: impl FnMut(usize, usize) -> [f64; K]) {
+        let cw1 = self.cw + 1;
+        for cy in 0..self.ch {
+            let (done, rest) = self.cells.split_at_mut((cy + 1) * cw1);
+            let above = &done[cy * cw1 + 1..];
+            let mut row_sum = [0.0f64; K];
+            for (cx, (cell, up)) in rest[1..cw1].iter_mut().zip(above).enumerate() {
+                let v = f(2 * cx, 2 * cy);
+                for k in 0..K {
+                    row_sum[k] += v[k];
+                    cell[k] = row_sum[k] + up[k];
+                }
+            }
         }
     }
 
@@ -105,16 +152,17 @@ impl<const K: usize> DecimatedMoments<K> {
         (self.fine_w, self.fine_h)
     }
 
-    /// Per-channel sum over the even-coordinate subset of the
-    /// `(2 n + 1)^2` window centered at `(cx, cy)` of the fine plane,
-    /// clipped to the plane. `None` when the window contains no even
-    /// lattice point (possible only for `n == 0` at an odd coordinate).
-    pub fn even_window_sum(&self, cx: usize, cy: usize, n: usize) -> Option<[f64; K]> {
+    /// Corner indices of the even-coordinate subset of the `(2 n + 1)^2`
+    /// window centered at `(cx, cy)` of the fine plane, clipped to the
+    /// plane. `None` when the window contains no even lattice point
+    /// (possible only for `n == 0` at an odd coordinate).
+    pub fn even_window(&self, cx: usize, cy: usize, n: usize) -> Option<EvenWindow> {
         let x0 = cx.saturating_sub(n);
         let y0 = cy.saturating_sub(n);
         let x1 = (cx + n).min(self.fine_w.saturating_sub(1));
         let y1 = (cy + n).min(self.fine_h.saturating_sub(1));
-        // Even x in [x0, x1]  <=>  coarse cx in [ceil(x0/2), floor(x1/2)].
+        // Even x in [x0, x1]  <=>  coarse cx in [ceil(x0/2), floor(x1/2)];
+        // padded column c + 1 holds coarse column c, column 0 is the pad.
         let cx0 = x0.div_ceil(2);
         let cy0 = y0.div_ceil(2);
         let cx1 = x1 / 2;
@@ -122,7 +170,37 @@ impl<const K: usize> DecimatedMoments<K> {
         if cx0 > cx1 || cy0 > cy1 {
             return None;
         }
-        Some(self.sat.rect_sum(cx0, cy0, cx1, cy1))
+        let cw1 = self.cw + 1;
+        Some(EvenWindow {
+            top_left: cy0 * cw1 + cx0,
+            top_right: cy0 * cw1 + cx1 + 1,
+            bottom_left: (cy1 + 1) * cw1 + cx0,
+            bottom_right: (cy1 + 1) * cw1 + cx1 + 1,
+        })
+    }
+
+    /// Per-channel sum over a window from [`even_window`](Self::even_window)
+    /// of a table with the same dimensions, with `rect_sum`'s
+    /// `((a - b) - c) + d` corner grouping.
+    #[inline]
+    pub fn sum(&self, win: &EvenWindow) -> [f64; K] {
+        let a = &self.cells[win.bottom_right];
+        let b = &self.cells[win.bottom_left];
+        let c = &self.cells[win.top_right];
+        let d = &self.cells[win.top_left];
+        let mut out = [0.0f64; K];
+        for k in 0..K {
+            out[k] = ((a[k] - b[k]) - c[k]) + d[k];
+        }
+        out
+    }
+
+    /// Per-channel sum over the even-coordinate subset of the
+    /// `(2 n + 1)^2` window centered at `(cx, cy)` of the fine plane,
+    /// clipped to the plane. `None` when the window contains no even
+    /// lattice point.
+    pub fn even_window_sum(&self, cx: usize, cy: usize, n: usize) -> Option<[f64; K]> {
+        self.even_window(cx, cy, n).map(|win| self.sum(&win))
     }
 
     /// Number of even lattice points inside the (clipped) window — the
@@ -196,6 +274,7 @@ pub fn quad_min(c: f64, b: &[f64; 3], inv: &[f64; 9]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::integral::MomentIntegral;
 
     fn chan(x: usize, y: usize) -> [f64; 2] {
         let v = ((x * 13 + y * 7) % 11) as f64;
@@ -236,6 +315,56 @@ mod tests {
                     None => assert_eq!(count, 0, "({cx},{cy}) n={n}"),
                 }
             }
+        }
+    }
+
+    #[test]
+    fn padded_sums_are_bit_identical_to_the_unpadded_integral() {
+        // The zero pad must reproduce `MomentIntegral::rect_sum` over the
+        // coarse lattice to the bit, clipped windows included.
+        for (w, h) in [(9usize, 7usize), (16, 16), (17, 11), (33, 5), (1, 1)] {
+            let d = DecimatedMoments::<2>::from_fn(w, h, chan);
+            let r = MomentIntegral::<2>::from_fn(w.div_ceil(2), h.div_ceil(2), |cx, cy| {
+                chan(2 * cx, 2 * cy)
+            });
+            for n in 0..4usize {
+                for cy in 0..h {
+                    for cx in 0..w {
+                        let x0 = cx.saturating_sub(n).div_ceil(2);
+                        let y0 = cy.saturating_sub(n).div_ceil(2);
+                        let x1 = (cx + n).min(w - 1) / 2;
+                        let y1 = (cy + n).min(h - 1) / 2;
+                        let got = d.even_window_sum(cx, cy, n);
+                        if x0 > x1 || y0 > y1 {
+                            assert!(got.is_none(), "({cx},{cy}) n={n} of {w}x{h}");
+                            continue;
+                        }
+                        let want = r.rect_sum(x0, y0, x1, y1);
+                        let got = got.expect("window has even samples");
+                        for k in 0..2 {
+                            assert_eq!(
+                                got[k].to_bits(),
+                                want[k].to_bits(),
+                                "({cx},{cy}) n={n} ch {k} of {w}x{h}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn refill_replaces_every_cell() {
+        // A refilled table must equal a fresh build: nothing but the pad
+        // survives from the previous contents.
+        let mut d = DecimatedMoments::<2>::from_fn(11, 9, |x, y| [x as f64, -(y as f64)]);
+        d.fill(chan);
+        let fresh = DecimatedMoments::<2>::from_fn(11, 9, chan);
+        for (cx, cy, n) in [(0usize, 0usize, 2usize), (5, 4, 3), (10, 8, 1), (6, 2, 0)] {
+            let win = d.even_window(cx, cy, n).expect("even samples");
+            assert_eq!(win, fresh.even_window(cx, cy, n).expect("even samples"));
+            assert_eq!(d.sum(&win), fresh.sum(&win), "({cx},{cy}) n={n}");
         }
     }
 

@@ -6,9 +6,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sma_bench::shifted_frames;
-use sma_core::fastpath::{track_all_integral, track_all_integral_parallel};
+use sma_core::fastpath::track_all_integral;
 use sma_core::sequential::Region;
-use sma_core::{track_all_parallel, track_all_sequential, MotionModel, SmaConfig};
+use sma_core::{track_all_sequential, MotionModel, SmaConfig};
 use std::hint::black_box;
 
 fn bench_fastpath(c: &mut Criterion) {
@@ -32,20 +32,8 @@ fn bench_fastpath(c: &mut Criterion) {
         g.bench_function(BenchmarkId::new("exact_sequential", side), |b| {
             b.iter(|| black_box(track_all_sequential(black_box(&frames), &cfg, region)))
         });
-        g.bench_function(BenchmarkId::new("exact_parallel", side), |b| {
-            b.iter(|| black_box(track_all_parallel(black_box(&frames), &cfg, region)))
-        });
         g.bench_function(BenchmarkId::new("integral_sequential", side), |b| {
             b.iter(|| black_box(track_all_integral(black_box(&frames), &cfg, region)))
-        });
-        g.bench_function(BenchmarkId::new("integral_parallel", side), |b| {
-            b.iter(|| {
-                black_box(track_all_integral_parallel(
-                    black_box(&frames),
-                    &cfg,
-                    region,
-                ))
-            })
         });
         g.finish();
     }

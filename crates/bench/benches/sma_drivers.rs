@@ -1,13 +1,13 @@
 //! The SMA drivers head to head on a small frame: sequential baseline vs
-//! Rayon-parallel vs the §4.1/§4.3 precomputed-and-segmented scheme, and
-//! the continuous vs semi-fluid model cost gap (the paper's Table 2 vs
-//! Table 4 story in miniature).
+//! the §4.1/§4.3 precomputed-and-segmented scheme, and the continuous vs
+//! semi-fluid model cost gap (the paper's Table 2 vs Table 4 story in
+//! miniature).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sma_bench::shifted_frames;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::Region;
-use sma_core::{track_all_parallel, track_all_sequential, MotionModel, SmaConfig};
+use sma_core::{track_all_sequential, MotionModel, SmaConfig};
 use std::hint::black_box;
 
 fn bench_drivers(c: &mut Criterion) {
@@ -18,9 +18,6 @@ fn bench_drivers(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(track_all_sequential(black_box(&frames), &cfg, region)))
-    });
-    g.bench_function("rayon_parallel", |b| {
-        b.iter(|| black_box(track_all_parallel(black_box(&frames), &cfg, region)))
     });
     g.bench_function("segmented_z2", |b| {
         b.iter(|| black_box(track_all_segmented(black_box(&frames), &cfg, region, 2)))
@@ -42,7 +39,7 @@ fn bench_models(c: &mut Criterion) {
         let frames = shifted_frames(26, 26, 1.0, 0.0, &cfg);
         let region = Region::Interior { margin: 9 };
         g.bench_with_input(BenchmarkId::from_parameter(name), &(), |b, _| {
-            b.iter(|| black_box(track_all_parallel(black_box(&frames), &cfg, region)))
+            b.iter(|| black_box(track_all_sequential(black_box(&frames), &cfg, region)))
         });
     }
     g.finish();
@@ -64,7 +61,7 @@ fn bench_search_scaling(c: &mut Criterion) {
             margin: cfg.margin() + 2,
         };
         g.bench_with_input(BenchmarkId::from_parameter(2 * nzs + 1), &(), |b, _| {
-            b.iter(|| black_box(track_all_parallel(black_box(&frames), &cfg, region)))
+            b.iter(|| black_box(track_all_sequential(black_box(&frames), &cfg, region)))
         });
     }
     g.finish();

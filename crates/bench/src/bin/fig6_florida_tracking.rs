@@ -11,7 +11,7 @@
 
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::Region;
-use sma_core::{track_all_parallel, MotionModel, SmaConfig};
+use sma_core::{track_all_sequential, MotionModel, SmaConfig};
 use sma_grid::io::ascii_quiver;
 use sma_grid::{FlowField, Vec2};
 use sma_satdata::florida_thunderstorm_analog;
@@ -47,7 +47,8 @@ fn main() {
             &cfg,
         )
         .expect("prepare");
-        let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+        let result =
+            track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
         let flow = result.flow();
 
         // Mask to cloudy regions like the paper's visualization.

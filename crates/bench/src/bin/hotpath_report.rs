@@ -1,16 +1,19 @@
 //! Hot-path wall-clock report: exact kernels vs the integral-image fast
-//! path vs the SIMD lane-kernel drivers vs the pruned-search family,
-//! emitted as `BENCH_hotpath.json` (plus a stdout table).
+//! path vs the SIMD lane kernels vs pruned search, emitted as
+//! `BENCH_hotpath.json` (plus a stdout table).
 //!
 //! The medium configuration is the acceptance scenario: a 64 x 64 frame
 //! with a 21 x 21 template and 9 x 9 search, where the O(T^2) per-sample
 //! accumulation pays 441 multiply-add rows per hypothesis, the
 //! moment-plane path pays four corner lookups per moment, and the SIMD
-//! path additionally amortizes the 6 x 6 factorization per pixel and
-//! hoists the gradient divisions out of the offset loop. The pruned
-//! driver then orders the hypothesis sweep from a decimated-lattice seed
-//! and rejects most candidates against an admissible lower bound before
-//! their offset moment planes are ever built. The large configuration
+//! lane kernels additionally amortize the 6 x 6 factorization per pixel
+//! and hoist the gradient divisions out of the offset loop. The `simd`
+//! column times the pruned driver with its screen disarmed
+//! (`SMA_PRUNE=off`): the exhaustive raster sweep over the lane kernels.
+//! The `pruned` column arms the screen, which orders the hypothesis
+//! sweep from a decimated-lattice seed and rejects most candidates
+//! against an admissible lower bound before their offset moment planes
+//! are ever built. The large configuration
 //! (96 x 96, 31 x 31 template, 11 x 11 search) exercises the same
 //! kernels at a realistic satellite-window scale — and gives the pruned
 //! driver a 121-hypothesis sweep to cut down.
@@ -32,12 +35,11 @@
 //!   report).
 
 use sma_bench::shifted_frames;
-use sma_core::fastpath::{track_all_integral, track_all_integral_parallel};
+use sma_core::fastpath::track_all_integral;
 use sma_core::motion::SmaFrames;
-use sma_core::sequential::Region;
+use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_parallel, track_all_planner, track_all_pruned, track_all_pruned_parallel,
-    track_all_sequential, track_all_simd, track_all_simd_parallel, MotionModel, SmaConfig,
+    track_all_planner, track_all_pruned, track_all_sequential, MotionModel, SmaConfig, SmaError,
 };
 use std::hint::black_box;
 use std::time::Instant;
@@ -102,57 +104,30 @@ struct Row {
     template_side: usize,
     search_side: usize,
     exact_seq: f64,
-    exact_par: f64,
     integral_seq: f64,
-    integral_par: f64,
     simd_seq: f64,
-    simd_par: f64,
     pruned_seq: f64,
-    pruned_par: f64,
     planner: f64,
 }
 
 impl Row {
-    /// Fast-path speedup within the parallel drivers. The single source
-    /// for every place the ratio appears (table, JSON, metrics,
-    /// acceptance gate) so they can never disagree.
-    fn speedup_parallel(&self) -> f64 {
-        self.exact_par / self.integral_par
-    }
-
-    /// Fast-path speedup within the sequential drivers. Distinct from
-    /// [`Row::speedup_parallel`] — at two decimal places the pair has
-    /// rounded to the same value on some hosts, which is coincidence,
-    /// not a shared formula; the JSON carries four decimals so the two
-    /// ratios stay visibly independent.
-    fn speedup_sequential(&self) -> f64 {
+    /// Fast-path speedup over the exact kernels. The single source for
+    /// every place the ratio appears (table, JSON, acceptance gate) so
+    /// they can never disagree.
+    fn speedup_integral(&self) -> f64 {
         self.exact_seq / self.integral_seq
     }
 
-    /// SIMD-family speedup over the scalar integral baseline,
-    /// sequential driver against sequential driver (the acceptance
-    /// ratio). The sequential pair is the clean family comparison: the
-    /// "parallel" drivers run through the vendored sequential rayon
-    /// shim, whose per-chunk dispatch adds a fixed overhead that lands
-    /// much harder on the cheap SIMD rows than on the integral rows —
-    /// gating on the parallel pair measured that shim asymmetry, not
-    /// the lane kernels.
+    /// SIMD lane-kernel speedup over the scalar integral baseline: the
+    /// pruned driver's unscreened raster sweep against the integral
+    /// driver.
     fn speedup_simd(&self) -> f64 {
         self.integral_seq / self.simd_seq
     }
 
-    /// The same family ratio over the parallel pair, carried in the
-    /// JSON for the sentinel to tolerance-track (the shim dispatch
-    /// overhead should stay roughly constant; a collapse here means the
-    /// parallel wrappers themselves regressed).
-    fn speedup_simd_parallel(&self) -> f64 {
-        self.integral_par / self.simd_par
-    }
-
-    /// Pruned-search speedup over the exhaustive SIMD sweep, sequential
-    /// against sequential (the pruned family's acceptance ratio: same
-    /// kernels, bit-identical output, fewer candidate evaluations and
-    /// fewer offset-plane builds).
+    /// Pruned-search speedup over the exhaustive lane-kernel sweep (the
+    /// screen's acceptance ratio: same kernels, bit-identical output,
+    /// fewer candidate evaluations and fewer offset-plane builds).
     fn speedup_pruned(&self) -> f64 {
         self.simd_seq / self.pruned_seq
     }
@@ -162,13 +137,9 @@ impl Row {
     fn best_static(&self) -> f64 {
         [
             self.exact_seq,
-            self.exact_par,
             self.integral_seq,
-            self.integral_par,
             self.simd_seq,
-            self.simd_par,
             self.pruned_seq,
-            self.pruned_par,
         ]
         .into_iter()
         .fold(f64::INFINITY, f64::min)
@@ -192,6 +163,19 @@ fn config_for(s: &Scenario) -> SmaConfig {
     }
 }
 
+/// The pruned driver with its screen disarmed: the exhaustive raster
+/// sweep over the SIMD lane kernels. Restores the armed default.
+fn track_unscreened(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    region: Region,
+) -> Result<SmaResult, SmaError> {
+    sma_grid::prune::set_enabled(false);
+    let out = track_all_pruned(frames, cfg, region);
+    sma_grid::prune::set_enabled(true);
+    out
+}
+
 fn run_scenario(s: &Scenario) -> Row {
     let cfg = config_for(s);
     let frames: SmaFrames = shifted_frames(s.side, s.side, 1.0, 0.0, &cfg);
@@ -206,30 +190,13 @@ fn run_scenario(s: &Scenario) -> Row {
             black_box(track_all_sequential(black_box(&frames), &cfg, region)).expect("track");
         }),
         Box::new(|| {
-            black_box(track_all_parallel(black_box(&frames), &cfg, region)).expect("track");
-        }),
-        Box::new(|| {
             black_box(track_all_integral(black_box(&frames), &cfg, region)).expect("track");
         }),
         Box::new(|| {
-            black_box(track_all_integral_parallel(
-                black_box(&frames),
-                &cfg,
-                region,
-            ))
-            .expect("track");
-        }),
-        Box::new(|| {
-            black_box(track_all_simd(black_box(&frames), &cfg, region)).expect("track");
-        }),
-        Box::new(|| {
-            black_box(track_all_simd_parallel(black_box(&frames), &cfg, region)).expect("track");
+            black_box(track_unscreened(black_box(&frames), &cfg, region)).expect("track");
         }),
         Box::new(|| {
             black_box(track_all_pruned(black_box(&frames), &cfg, region)).expect("track");
-        }),
-        Box::new(|| {
-            black_box(track_all_pruned_parallel(black_box(&frames), &cfg, region)).expect("track");
         }),
         Box::new(|| {
             black_box(track_all_planner(black_box(&frames), &cfg, region)).expect("track");
@@ -243,18 +210,14 @@ fn run_scenario(s: &Scenario) -> Row {
         template_side: 2 * s.nzt + 1,
         search_side: 2 * s.nzs + 1,
         exact_seq: t[0],
-        exact_par: t[1],
-        integral_seq: t[2],
-        integral_par: t[3],
-        simd_seq: t[4],
-        simd_par: t[5],
-        pruned_seq: t[6],
-        pruned_par: t[7],
-        planner: t[8],
+        integral_seq: t[1],
+        simd_seq: t[2],
+        pruned_seq: t[3],
+        planner: t[4],
     }
 }
 
-/// One counted pass per driver family on the gate scenario, recorded at
+/// One counted pass per driver on the gate scenario, recorded at
 /// `Summary` level, returning the span table as `(path, calls, seconds)`
 /// rows — the per-kernel timing breakdown for the JSON document. Runs
 /// after the timed section so the instrumentation never perturbs the
@@ -270,7 +233,6 @@ fn kernel_breakdown(s: &Scenario) -> Vec<(String, u64, f64)> {
     sma_obs::span::reset();
     black_box(track_all_sequential(&frames, &cfg, region)).expect("track");
     black_box(track_all_integral(&frames, &cfg, region)).expect("track");
-    black_box(track_all_simd(&frames, &cfg, region)).expect("track");
     black_box(track_all_pruned(&frames, &cfg, region)).expect("track");
     let rows = sma_obs::span::snapshot()
         .into_iter()
@@ -347,18 +309,14 @@ fn main() {
 
     println!("SMA hot path: exact vs integral vs SIMD lane kernels vs pruned search vs planner");
     println!(
-        "  {:<12} {:>7} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>8}",
+        "  {:<12} {:>7} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>8}",
         "scenario",
         "frame",
         "template",
-        "exact_seq",
-        "exact_par",
-        "int_seq",
-        "int_par",
-        "simd_seq",
-        "simd_par",
-        "prune_seq",
-        "prune_par",
+        "exact",
+        "integral",
+        "simd",
+        "pruned",
         "planner",
         "int_x",
         "simd_x",
@@ -370,20 +328,16 @@ fn main() {
     for s in scenarios {
         let r = run_scenario(s);
         println!(
-            "  {:<12} {:>4}^2 {:>6}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>7.1}x {:>7.1}x {:>7.2}x {:>7.2}x",
+            "  {:<12} {:>4}^2 {:>6}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>7.1}x {:>7.1}x {:>7.2}x {:>7.2}x",
             r.name,
             r.frame,
             r.template_side,
             r.exact_seq,
-            r.exact_par,
             r.integral_seq,
-            r.integral_par,
             r.simd_seq,
-            r.simd_par,
             r.pruned_seq,
-            r.pruned_par,
             r.planner,
-            r.speedup_parallel(),
+            r.speedup_integral(),
             r.speedup_simd(),
             r.speedup_pruned(),
             r.speedup_planner()
@@ -415,18 +369,12 @@ fn main() {
                 "      \"template_side\": {},\n",
                 "      \"search_side\": {},\n",
                 "      \"exact_sequential\": {:.6},\n",
-                "      \"exact_parallel\": {:.6},\n",
                 "      \"integral_sequential\": {:.6},\n",
-                "      \"integral_parallel\": {:.6},\n",
                 "      \"simd_sequential\": {:.6},\n",
-                "      \"simd_parallel\": {:.6},\n",
                 "      \"pruned_sequential\": {:.6},\n",
-                "      \"pruned_parallel\": {:.6},\n",
                 "      \"planner\": {:.6},\n",
-                "      \"speedup_integral_vs_exact_parallel\": {:.4},\n",
                 "      \"speedup_integral_vs_exact_sequential\": {:.4},\n",
                 "      \"speedup_simd_vs_integral_sequential\": {:.4},\n",
-                "      \"speedup_simd_vs_integral_parallel\": {:.4},\n",
                 "      \"speedup_pruned_vs_simd_sequential\": {:.4},\n",
                 "      \"speedup_planner_vs_best_static\": {:.4}\n",
                 "    }}{}\n"
@@ -436,18 +384,12 @@ fn main() {
             r.template_side,
             r.search_side,
             r.exact_seq,
-            r.exact_par,
             r.integral_seq,
-            r.integral_par,
             r.simd_seq,
-            r.simd_par,
             r.pruned_seq,
-            r.pruned_par,
             r.planner,
-            r.speedup_parallel(),
-            r.speedup_sequential(),
+            r.speedup_integral(),
             r.speedup_simd(),
-            r.speedup_simd_parallel(),
             r.speedup_pruned(),
             r.speedup_planner(),
             if i + 1 < rows.len() { "," } else { "" }
@@ -481,18 +423,18 @@ fn main() {
     // `METRICS_hotpath_report.json`.
 
     // Acceptance gates. Full mode: the integral fast path must clear
-    // 10x over the exact kernels on medium, the SIMD family must clear
-    // 3x over the scalar integral baseline on medium (sequential pair —
-    // see [`Row::speedup_simd`] for why the parallel pair is not the
-    // gate basis), and the pruned search must clear 1.5x over the
-    // exhaustive SIMD sweep on medium and 2x on large — the larger
-    // sweep (121 hypotheses vs 81) gives the bound more to reject, so
-    // the bar rises with the scenario.
+    // 10x over the exact kernels on medium, the SIMD lane kernels must
+    // clear 3x over the scalar integral baseline on medium, and the
+    // pruned search must clear 1.5x over the exhaustive SIMD sweep on
+    // medium and 2x on large — the larger sweep (121 hypotheses vs 81)
+    // gives the bound more to reject, so the bar rises with the
+    // scenario.
     // Smoke mode (--small): relaxed thresholds on the small scenario
     // (the small frame spends proportionally more time in fixed setup
-    // and CI runners are noisy); its 5 x 5 sweep is also below the
-    // pruning cutover that makes the screen worthwhile, so the pruned
-    // gate there is a no-regression parity bar, not a speedup bar.
+    // and CI runners are noisy). Its 5 x 5 sweep sits exactly at the
+    // pruning cutover (25 hypotheses), where the screen arms and reads
+    // ~2.7x the exhaustive sweep; the pruned gate there stays a loose
+    // no-regression bar against runner noise.
     // The planner gate is a parity bar on every gated scenario: on
     // these uniform interior scenarios the plan collapses to one
     // wholesale call into the fastest admitted driver, so "never slower
@@ -506,24 +448,9 @@ fn main() {
     let mut checks: Vec<(&str, &str, f64, f64)> = Vec::new();
     if small_only {
         let g = &rows[0];
-        checks.push((
-            "small_t7",
-            "integral vs exact (parallel)",
-            g.speedup_parallel(),
-            3.0,
-        ));
-        checks.push((
-            "small_t7",
-            "simd vs integral (sequential)",
-            g.speedup_simd(),
-            1.2,
-        ));
-        checks.push((
-            "small_t7",
-            "pruned vs simd (sequential)",
-            g.speedup_pruned(),
-            0.8,
-        ));
+        checks.push(("small_t7", "integral vs exact", g.speedup_integral(), 3.0));
+        checks.push(("small_t7", "simd vs integral", g.speedup_simd(), 1.2));
+        checks.push(("small_t7", "pruned vs simd", g.speedup_pruned(), 0.8));
         checks.push((
             "small_t7",
             "planner vs best static",
@@ -541,28 +468,13 @@ fn main() {
             .expect("large row");
         checks.push((
             "medium_t21",
-            "integral vs exact (parallel)",
-            medium.speedup_parallel(),
+            "integral vs exact",
+            medium.speedup_integral(),
             10.0,
         ));
-        checks.push((
-            "medium_t21",
-            "simd vs integral (sequential)",
-            medium.speedup_simd(),
-            3.0,
-        ));
-        checks.push((
-            "medium_t21",
-            "pruned vs simd (sequential)",
-            medium.speedup_pruned(),
-            1.5,
-        ));
-        checks.push((
-            "large_t31",
-            "pruned vs simd (sequential)",
-            large.speedup_pruned(),
-            2.0,
-        ));
+        checks.push(("medium_t21", "simd vs integral", medium.speedup_simd(), 3.0));
+        checks.push(("medium_t21", "pruned vs simd", medium.speedup_pruned(), 1.5));
+        checks.push(("large_t31", "pruned vs simd", large.speedup_pruned(), 2.0));
         checks.push((
             "medium_t21",
             "planner vs best static",

@@ -10,7 +10,7 @@
 use maspar_sim::mpda::{Mpda, MpdaConfig};
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::Region;
-use sma_core::{track_all_parallel, MotionModel, SmaConfig};
+use sma_core::{track_all_sequential, MotionModel, SmaConfig};
 use sma_satdata::hurricane_luis_analog;
 
 fn main() {
@@ -47,7 +47,8 @@ fn main() {
             .read(&format!("luis_t{}", t + 1))
             .expect("staged frame");
         let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
-        let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+        let result =
+            track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
         let pts: Vec<(usize, usize)> = result.region.pixels().collect();
         let stats = result.flow().compare_at(&seq.truth_flows[t], &pts);
         sum_rms += stats.rms_endpoint;

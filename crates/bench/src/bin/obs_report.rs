@@ -20,7 +20,7 @@
 //! If `SMA_OBS` is unset the level defaults to `summary` so the report
 //! is useful out of the box; set `SMA_OBS=spans` or `trace` for live
 //! span printing. With `SMA_TRACE=PATH` the flight recorder captures
-//! the whole run — all eleven driver variants — and the report writes a
+//! the whole run — all six static drivers — and the report writes a
 //! Chrome trace-event JSON to `PATH` (open in Perfetto), validates its
 //! structure, and prints per-stage p50/p95/p99 latency.
 //! Exits nonzero if any counter disagrees with the
@@ -29,18 +29,13 @@
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
 use sma_bench::wavy;
-use sma_core::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-};
+use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::Region;
 use sma_core::timing::SmaWorkload;
-use sma_core::{
-    track_all_parallel, track_all_pruned, track_all_pruned_parallel, track_all_sequential,
-    track_all_simd, track_all_simd_parallel, MotionModel, SmaConfig,
-};
+use sma_core::{track_all_pruned, track_all_sequential, MotionModel, SmaConfig};
 use sma_grid::pyramid::Pyramid;
 use sma_grid::warp::translate;
 use sma_grid::BorderPolicy;
@@ -173,39 +168,20 @@ fn main() {
         // counters and spans feed the report and the flight recorder;
         // only the sequential Full run feeds the analytic checks). The
         // exact family owes the reference bit identity; the integral and
-        // SIMD families reassociate floating-point sums, so they are
+        // pruned families reassociate floating-point sums, so they are
         // numerically (not bit-) identical: same winner, same
         // displacement.
         let region = Region::Interior {
             margin: cfg.margin(),
         };
-        let exact_runs = [
-            ("parallel", track_all_parallel(&frames, &cfg, region)),
-            ("segmented", track_all_segmented(&frames, &cfg, region, 2)),
-        ];
+        let exact_runs = [("segmented", track_all_segmented(&frames, &cfg, region, 2))];
         let integral_runs = [
             ("fastpath", track_all_integral(&frames, &cfg, region)),
-            (
-                "fastpath_par",
-                track_all_integral_parallel(&frames, &cfg, region),
-            ),
             (
                 "fastpath_seg",
                 track_all_integral_segmented(&frames, &cfg, region, 2),
             ),
-            ("fastpath_simd_seq", track_all_simd(&frames, &cfg, region)),
-            (
-                "fastpath_simd_par",
-                track_all_simd_parallel(&frames, &cfg, region),
-            ),
-            (
-                "fastpath_pruned_seq",
-                track_all_pruned(&frames, &cfg, region),
-            ),
-            (
-                "fastpath_pruned_par",
-                track_all_pruned_parallel(&frames, &cfg, region),
-            ),
+            ("fastpath_pruned", track_all_pruned(&frames, &cfg, region)),
         ];
         let bounds = region.bounds(side, side).expect("non-empty interior");
         for (name, run) in &exact_runs {

@@ -24,7 +24,7 @@
 use sma_core::fastpath::track_all_integral;
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::Region;
-use sma_core::{track_all_sequential, track_all_simd, MotionModel, SmaConfig};
+use sma_core::{track_all_pruned, track_all_sequential, MotionModel, SmaConfig};
 use sma_grid::Grid;
 use sma_obs::atlas::{self, AtlasChannel};
 use sma_obs::json::MetricsDoc;
@@ -83,9 +83,9 @@ fn main() {
 
     atlas::arm(side, side, 8);
 
-    let near_tie0 = counter("fastpath.near_tie_pixels") + counter("simd.near_tie_pixels");
+    let near_tie0 = counter("fastpath.near_tie_pixels") + counter("pruned.near_tie_pixels");
     let border0 =
-        counter("fastpath.border_fallback_pixels") + counter("simd.border_fallback_pixels");
+        counter("fastpath.border_fallback_pixels") + counter("pruned.border_fallback_pixels");
 
     // Phase 1: the three driver families over the full frame. The
     // border ring falls back to the exact kernel, the period-2 interior
@@ -98,10 +98,10 @@ fn main() {
     };
     let seq = track_all_sequential(&frames, &cfg, Region::Full).expect("sequential");
     let fast = track_all_integral(&frames, &cfg, Region::Full).expect("fastpath");
-    let simd = track_all_simd(&frames, &cfg, Region::Full).expect("simd");
+    let pruned = track_all_pruned(&frames, &cfg, Region::Full).expect("pruned");
     for (x, y) in seq.region.pixels() {
         let s = seq.estimates.at(x, y);
-        for (name, r) in [("fastpath", &fast), ("simd", &simd)] {
+        for (name, r) in [("fastpath", &fast), ("pruned", &pruned)] {
             let f = r.estimates.at(x, y);
             assert_eq!(s.valid, f.valid, "{name} validity diverged at ({x},{y})");
             assert_eq!(
@@ -112,9 +112,9 @@ fn main() {
     }
 
     let near_tie_delta =
-        counter("fastpath.near_tie_pixels") + counter("simd.near_tie_pixels") - near_tie0;
+        counter("fastpath.near_tie_pixels") + counter("pruned.near_tie_pixels") - near_tie0;
     let border_delta = counter("fastpath.border_fallback_pixels")
-        + counter("simd.border_fallback_pixels")
+        + counter("pruned.border_fallback_pixels")
         - border0;
 
     // Phase 2: the streaming engine over a short shifting sequence, so
@@ -236,14 +236,14 @@ fn main() {
         },
         Gate {
             name: format!(
-                "all three dispatch planes nonzero (exact {}, integral {}, simd {})",
+                "all three dispatch planes nonzero (exact {}, integral {}, pruned {})",
                 snap.total(AtlasChannel::DispatchExact),
                 snap.total(AtlasChannel::DispatchIntegral),
-                snap.total(AtlasChannel::DispatchSimd)
+                snap.total(AtlasChannel::DispatchPruned)
             ),
             ok: snap.total(AtlasChannel::DispatchExact) > 0
                 && snap.total(AtlasChannel::DispatchIntegral) > 0
-                && snap.total(AtlasChannel::DispatchSimd) > 0,
+                && snap.total(AtlasChannel::DispatchPruned) > 0,
         },
         Gate {
             name: format!("streaming cache recorded hits ({})", cache.hits),

@@ -363,16 +363,11 @@ fn main() {
 fn print_matrix(verdicts: &[PairVerdict]) {
     let short = |d: DriverKind| match d {
         DriverKind::Sequential => "seq",
-        DriverKind::Parallel => "par",
         DriverKind::Segmented => "seg",
         DriverKind::Maspar => "mas",
         DriverKind::Fastpath => "fst",
-        DriverKind::FastpathParallel => "fsp",
         DriverKind::FastpathSegmented => "fsg",
-        DriverKind::FastpathSimd => "sim",
-        DriverKind::FastpathSimdParallel => "smp",
         DriverKind::FastpathPruned => "prn",
-        DriverKind::FastpathPrunedParallel => "prp",
         DriverKind::PlannerAuto => "pln",
     };
     print!("  matrix:      ");

@@ -1,17 +1,19 @@
 //! The driver grid: every SMA driver variant the harness replays, plus
 //! the runtime obs/fault combinations each one must be insensitive to.
+//!
+//! Each driver has one reason to exist: `sequential` is the reference;
+//! `segmented` and `maspar` reproduce the paper's §4.1/§4.3 segmentation
+//! and the MP-2 mapping; `fastpath` and `fastpath_seg` are the scalar
+//! moment-identity reference; `fastpath_pruned` is the production
+//! matcher; `planner_auto` is the adaptive planner over the others.
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
-use sma_core::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-};
+use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::maspar_driver::{track_on_maspar, MasparRunReport};
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::SmaResult;
-use sma_core::{
-    track_all_parallel, track_all_sequential, track_all_simd, track_all_simd_parallel, SmaError,
-};
+use sma_core::{track_all_pruned, track_all_sequential, SmaError};
 
 use crate::corpus::ConformCase;
 
@@ -29,28 +31,19 @@ pub const MASPAR_EDGE: usize = 8;
 pub enum DriverKind {
     /// The sequential reference baseline.
     Sequential,
-    /// Rayon row-parallel driver.
-    Parallel,
     /// §4.1/§4.3 precompute + hypothesis-row segmentation.
     Segmented,
     /// Simulated MP-2 (`track_on_maspar`, raster read-out).
     Maspar,
-    /// Moment-plane integral-image fast path, sequential.
+    /// Moment-plane integral-image fast path.
     Fastpath,
-    /// Fast path, Rayon row-parallel.
-    FastpathParallel,
     /// Fast path, hypothesis-row segmented.
     FastpathSegmented,
-    /// SIMD fast path (amortized 6 x 6 factorization, hoisted gradient
-    /// planes, lane-kernel offset moment planes), sequential.
-    FastpathSimd,
-    /// SIMD fast path, Rayon row-parallel.
-    FastpathSimdParallel,
-    /// Pruned-search fast path (coarse-lattice candidate ordering plus
-    /// admissible early termination over the SIMD kernels), sequential.
+    /// Pruned-search fast path on the SIMD lane kernels (amortized 6 x 6
+    /// factorization, hoisted gradient planes, one resident offset
+    /// plane): coarse-lattice candidate ordering plus admissible early
+    /// termination where the screen pays, a raster sweep elsewhere.
     FastpathPruned,
-    /// Pruned-search fast path, Rayon row-parallel.
-    FastpathPrunedParallel,
     /// Adaptive execution planner (`sma_core::plan`): tiles the region
     /// and picks a per-tile strategy from the §4.3 memory budget and
     /// border geometry. Registered with default knobs and no telemetry
@@ -59,18 +52,13 @@ pub enum DriverKind {
 }
 
 /// Every driver variant, in matrix order (the reference first).
-pub const ALL_DRIVERS: [DriverKind; 12] = [
+pub const ALL_DRIVERS: [DriverKind; 7] = [
     DriverKind::Sequential,
-    DriverKind::Parallel,
     DriverKind::Segmented,
     DriverKind::Maspar,
     DriverKind::Fastpath,
-    DriverKind::FastpathParallel,
     DriverKind::FastpathSegmented,
-    DriverKind::FastpathSimd,
-    DriverKind::FastpathSimdParallel,
     DriverKind::FastpathPruned,
-    DriverKind::FastpathPrunedParallel,
     DriverKind::PlannerAuto,
 ];
 
@@ -84,25 +72,19 @@ pub enum Family {
     Exact,
     /// Moment-plane summed-area-table fast path.
     Integral,
-    /// Lane-kernel SIMD fast path (offset moment planes + amortized
-    /// factorization). Empirically bit-identical to `Integral` on the
-    /// corpus, but the plane construction order differs, so the
+    /// Pruned-search fast path on the lane kernels: candidate ordering
+    /// plus admissible early termination. Bit-identical to `Integral`
+    /// *by construction* (the lane kernels keep every accumulation
+    /// order, and skipped candidates are provably outside the near-tie
+    /// band), but the plane construction order differs, so the
     /// *declared* cross-family contract stays ULP-bounded.
-    SimdIntegral,
-    /// Pruned-search fast path: candidate ordering plus admissible early
-    /// termination over the SIMD kernels. Bit-identical to
-    /// `SimdIntegral` *by construction* (every evaluated candidate runs
-    /// the same lane kernels in the same per-candidate order, and
-    /// skipped candidates are provably outside the near-tie band), but
-    /// the declared cross-family contract stays ULP-bounded, matching
-    /// how the SIMD family itself is pinned against `Integral`.
     Pruned,
     /// The adaptive planner: mixes strategies from the other families
     /// per tile, so it owes bit identity only to itself and carries the
     /// ULP contract against everyone else. (With default knobs it is
-    /// empirically bit-identical to `SimdIntegral` — the interior plan
-    /// resolves to the SIMD fast path and border tiles to the same
-    /// exact fallback — but the declared contract stays ULP-bounded.)
+    /// empirically bit-identical to `Pruned` — the interior plan
+    /// resolves to the pruned driver and border tiles to the same exact
+    /// fallback — but the declared contract stays ULP-bounded.)
     Adaptive,
 }
 
@@ -111,16 +93,11 @@ impl DriverKind {
     pub fn name(self) -> &'static str {
         match self {
             DriverKind::Sequential => "sequential",
-            DriverKind::Parallel => "parallel",
             DriverKind::Segmented => "segmented",
             DriverKind::Maspar => "maspar",
             DriverKind::Fastpath => "fastpath",
-            DriverKind::FastpathParallel => "fastpath_par",
             DriverKind::FastpathSegmented => "fastpath_seg",
-            DriverKind::FastpathSimd => "fastpath_simd_seq",
-            DriverKind::FastpathSimdParallel => "fastpath_simd_par",
-            DriverKind::FastpathPruned => "fastpath_pruned_seq",
-            DriverKind::FastpathPrunedParallel => "fastpath_pruned_par",
+            DriverKind::FastpathPruned => "fastpath_pruned",
             DriverKind::PlannerAuto => "planner_auto",
         }
     }
@@ -128,15 +105,9 @@ impl DriverKind {
     /// The driver's numerical family (see [`Family`]).
     pub fn family(self) -> Family {
         match self {
-            DriverKind::Sequential
-            | DriverKind::Parallel
-            | DriverKind::Segmented
-            | DriverKind::Maspar => Family::Exact,
-            DriverKind::Fastpath | DriverKind::FastpathParallel | DriverKind::FastpathSegmented => {
-                Family::Integral
-            }
-            DriverKind::FastpathSimd | DriverKind::FastpathSimdParallel => Family::SimdIntegral,
-            DriverKind::FastpathPruned | DriverKind::FastpathPrunedParallel => Family::Pruned,
+            DriverKind::Sequential | DriverKind::Segmented | DriverKind::Maspar => Family::Exact,
+            DriverKind::Fastpath | DriverKind::FastpathSegmented => Family::Integral,
+            DriverKind::FastpathPruned => Family::Pruned,
             DriverKind::PlannerAuto => Family::Adaptive,
         }
     }
@@ -156,7 +127,6 @@ impl DriverKind {
     pub fn run(self, case: &ConformCase, frames: &SmaFrames) -> Result<SmaResult, SmaError> {
         match self {
             DriverKind::Sequential => track_all_sequential(frames, &case.cfg, case.region),
-            DriverKind::Parallel => track_all_parallel(frames, &case.cfg, case.region),
             DriverKind::Segmented => {
                 track_all_segmented(frames, &case.cfg, case.region, SEGMENT_Z_ROWS)
             }
@@ -164,22 +134,10 @@ impl DriverKind {
                 run_maspar(case, ReadoutScheme::Raster).map(|report| report.result)
             }
             DriverKind::Fastpath => track_all_integral(frames, &case.cfg, case.region),
-            DriverKind::FastpathParallel => {
-                track_all_integral_parallel(frames, &case.cfg, case.region)
-            }
             DriverKind::FastpathSegmented => {
                 track_all_integral_segmented(frames, &case.cfg, case.region, SEGMENT_Z_ROWS)
             }
-            DriverKind::FastpathSimd => track_all_simd(frames, &case.cfg, case.region),
-            DriverKind::FastpathSimdParallel => {
-                track_all_simd_parallel(frames, &case.cfg, case.region)
-            }
-            DriverKind::FastpathPruned => {
-                sma_core::track_all_pruned(frames, &case.cfg, case.region)
-            }
-            DriverKind::FastpathPrunedParallel => {
-                sma_core::track_all_pruned_parallel(frames, &case.cfg, case.region)
-            }
+            DriverKind::FastpathPruned => track_all_pruned(frames, &case.cfg, case.region),
             DriverKind::PlannerAuto => {
                 sma_core::plan::track_all_planner(frames, &case.cfg, case.region)
             }

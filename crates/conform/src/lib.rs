@@ -4,8 +4,8 @@
 //! (eqs. 12–13), the snake/raster read-out, and hypothesis-row
 //! segmentation compute the *same* SMA answer as the sequential
 //! formulation. This crate turns that claim (and its modern extensions:
-//! the Rayon driver, the integral-image fast path, the obs and fault
-//! layers) into enforced contracts:
+//! the integral-image fast path and its pruned production matcher, the
+//! adaptive planner, the obs and fault layers) into enforced contracts:
 //!
 //! * [`oracle`] — versioned, RLE-compressed golden snapshots of the
 //!   reference driver's flow/height/label planes for the fixed corpus;

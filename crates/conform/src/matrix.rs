@@ -54,14 +54,14 @@ pub enum Contract {
 
 /// The declared contract for a driver pair.
 ///
-/// The exact family (`sequential`/`parallel`/`segmented`/`maspar`)
-/// evaluates identical per-pixel arithmetic in identical order — work
+/// The exact family (`sequential`/`segmented`/`maspar`) evaluates
+/// identical per-pixel arithmetic in identical order — work
 /// distribution and read-out never touch the sums — so it is
 /// bit-identical (the paper's §5.1 claim). The fast-path families
 /// reassociate the template reduction through moment planes, so any
 /// pair that crosses a family boundary is ULP-bounded; variants within
 /// one family share per-pixel arithmetic and are bit-identical among
-/// themselves. The SIMD integral family is bit-identical to the scalar
+/// themselves. The pruned driver is bit-identical to the scalar
 /// integral family *by construction* (lane chunking never reorders an
 /// accumulation), but its declared cross-family contract stays
 /// ULP-bounded so the declaration does not depend on that stronger
@@ -199,8 +199,8 @@ mod tests {
 
     #[test]
     fn exact_family_pairs_are_bit_contracts() {
-        for a in [D::Sequential, D::Parallel, D::Segmented, D::Maspar] {
-            for b in [D::Sequential, D::Parallel, D::Segmented, D::Maspar] {
+        for a in [D::Sequential, D::Segmented, D::Maspar] {
+            for b in [D::Sequential, D::Segmented, D::Maspar] {
                 assert_eq!(contract_for(a, b), Contract::BitIdentical);
             }
         }
@@ -213,7 +213,7 @@ mod tests {
             Contract::UlpBounded(_)
         ));
         assert!(matches!(
-            contract_for(D::FastpathParallel, D::Maspar),
+            contract_for(D::FastpathSegmented, D::Maspar),
             Contract::UlpBounded(_)
         ));
         // Fast-path variants among themselves: bit-identical.
@@ -223,47 +223,18 @@ mod tests {
         );
     }
 
-    /// Pin the two SIMD drivers' declared contracts: bit-identical to
-    /// each other, ULP-bounded against both the exact family and the
-    /// scalar integral family.
-    #[test]
-    fn simd_driver_contracts_are_pinned() {
-        assert_eq!(
-            contract_for(D::FastpathSimd, D::FastpathSimdParallel),
-            Contract::BitIdentical
-        );
-        for other in [D::Sequential, D::Parallel, D::Segmented, D::Maspar] {
-            assert_eq!(
-                contract_for(D::FastpathSimd, other),
-                Contract::UlpBounded(FASTPATH_BOUND),
-                "vs {other:?}"
-            );
-        }
-        for other in [D::Fastpath, D::FastpathParallel, D::FastpathSegmented] {
-            assert_eq!(
-                contract_for(D::FastpathSimdParallel, other),
-                Contract::UlpBounded(FASTPATH_BOUND),
-                "vs {other:?}"
-            );
-        }
-        // Both SIMD variants are fast-path drivers.
-        assert!(D::FastpathSimd.is_fastpath());
-        assert!(D::FastpathSimdParallel.is_fastpath());
-    }
-
-    /// Pin the pruned drivers' declared contracts: bit-identical to
-    /// each other, ULP-bounded against everyone else — the same shape
-    /// as the SIMD family they are built on. (The pruned drivers are
-    /// bit-identical to the SIMD family by construction; the declared
+    /// Pin the pruned driver's declared contracts: bit-identical to
+    /// itself, ULP-bounded against everyone else. (It is bit-identical
+    /// to the scalar integral family by construction; the declared
     /// contract deliberately does not lean on that stronger claim.)
     #[test]
     fn pruned_driver_contracts_are_pinned() {
         assert_eq!(
-            contract_for(D::FastpathPruned, D::FastpathPrunedParallel),
+            contract_for(D::FastpathPruned, D::FastpathPruned),
             Contract::BitIdentical
         );
         for other in crate::driver::ALL_DRIVERS {
-            if matches!(other, D::FastpathPruned | D::FastpathPrunedParallel) {
+            if other == D::FastpathPruned {
                 continue;
             }
             assert_eq!(
@@ -273,7 +244,6 @@ mod tests {
             );
         }
         assert!(D::FastpathPruned.is_fastpath());
-        assert!(D::FastpathPrunedParallel.is_fastpath());
     }
 
     /// Pin the adaptive planner's declared contracts: its plan mixes

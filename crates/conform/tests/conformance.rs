@@ -38,8 +38,8 @@ fn one_case_matrix_honors_every_contract() {
         case.cfg,
     );
     let streamed = engine.pair(0).expect("streamed pair");
-    // The grown matrix: eleven static drivers plus the adaptive planner.
-    assert_eq!(ALL_DRIVERS.len(), 12);
+    // Six static drivers plus the adaptive planner.
+    assert_eq!(ALL_DRIVERS.len(), 7);
     let results: Vec<_> = ALL_DRIVERS
         .iter()
         .flat_map(|d| {

@@ -1,4 +1,4 @@
-//! Scalar-vs-SIMD near-tie re-route parity.
+//! Scalar-vs-pruned near-tie re-route parity.
 //!
 //! Both fast-path families consult the *same* hoisted thresholds
 //! (`sma_core::fastpath::{NEAR_TIE_ABS, NEAR_TIE_REL}` via
@@ -16,7 +16,7 @@
 use sma_core::fastpath::track_all_integral;
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::Region;
-use sma_core::{track_all_simd, MotionModel, SmaConfig};
+use sma_core::{track_all_pruned, MotionModel, SmaConfig};
 use sma_grid::Grid;
 use sma_obs::atlas::{self, AtlasChannel};
 
@@ -32,7 +32,7 @@ fn near_tie_plane(w: usize, h: usize, f: impl FnOnce()) -> Vec<u64> {
 }
 
 #[test]
-fn scalar_and_simd_reroute_identical_pixel_sets() {
+fn scalar_and_pruned_reroute_identical_pixel_sets() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let (w, h) = (28, 28);
     // The period-2 near-tie scene: +1 and -1 x-shift hypotheses agree
@@ -55,8 +55,8 @@ fn scalar_and_simd_reroute_identical_pixel_sets() {
     let scalar = near_tie_plane(w, h, || {
         track_all_integral(&frames, &cfg, region).expect("integral");
     });
-    let simd = near_tie_plane(w, h, || {
-        track_all_simd(&frames, &cfg, region).expect("simd");
+    let pruned = near_tie_plane(w, h, || {
+        track_all_pruned(&frames, &cfg, region).expect("pruned");
     });
 
     // The scene must actually exercise the guard — a zero-vs-zero pass
@@ -67,7 +67,7 @@ fn scalar_and_simd_reroute_identical_pixel_sets() {
     // Same thresholds, same per-pixel margins: the re-routed pixel sets
     // (and per-pixel counts) must be identical across families.
     assert_eq!(
-        scalar, simd,
-        "scalar and SIMD families re-routed different pixel sets"
+        scalar, pruned,
+        "scalar and pruned families re-routed different pixel sets"
     );
 }

@@ -5,7 +5,7 @@
 //! replay a case through a *driver*. This one replays the corpus
 //! through the *service*: every small-tier case becomes a tenant of one
 //! shared `SmaService`, and each tenant's result must be bit-identical
-//! to the pairwise SIMD driver run of the same case. Admission, cache
+//! to the pairwise pruned driver run of the same case. Admission, cache
 //! sharding, scheduling, and report assembly may move *when* and
 //! *where* a pair is computed — never one output bit.
 
@@ -69,9 +69,9 @@ fn serve_assembled_corpus_matches_pairwise_drivers() {
         );
         let served = report.results[0].as_ref().expect("served result");
         let frames = case.frames().expect("pairwise prepare");
-        let reference = DriverKind::FastpathSimd
+        let reference = DriverKind::FastpathPruned
             .run(case, &frames)
-            .expect("pairwise SIMD driver");
+            .expect("pairwise pruned driver");
         let diff = diff_results(served, &reference);
         assert!(
             diff.bit_identical(),

@@ -37,7 +37,6 @@
 //! equivalence suite pins displacements exactly and parameters/errors to
 //! 1e-6 relative).
 
-use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::{Grid, MomentIntegral, Vec2};
 
@@ -83,9 +82,9 @@ pub const NEAR_TIE_REL: f64 = 2e-6;
 
 /// True when `best` and `runner_up` are too close for the moment path's
 /// error precision to decide the winner. This is the *single* re-route
-/// predicate shared by every moment-path driver (scalar and SIMD, via
-/// [`crate::simd`]): hoisting it here guarantees the two families cannot
-/// drift apart on which pixels take the exact kernel.
+/// predicate shared by every moment-path driver (scalar, and the pruned
+/// driver via [`crate::simd`]): hoisting it here guarantees the two
+/// families cannot drift apart on which pixels take the exact kernel.
 pub fn near_tie(best: f64, runner_up: f64) -> bool {
     runner_up.is_finite()
         && (runner_up - best) <= NEAR_TIE_ABS + NEAR_TIE_REL * best.abs().max(runner_up.abs())
@@ -185,7 +184,7 @@ pub(crate) fn offset_moments(
 
 /// Expand the twelve static window sums into the full symmetric
 /// `A^T A` in solver layout (row-major 6 x 6). Shared by the scalar
-/// per-hypothesis solve below and the SIMD driver's per-pixel
+/// per-hypothesis solve below and the lane kernels' per-pixel
 /// factorization ([`crate::simd`]), so both assemble the same matrix
 /// bit for bit.
 pub(crate) fn ata_from_static(s: &[f64; STATIC_CHANNELS]) -> [f64; 36] {
@@ -211,7 +210,7 @@ pub(crate) fn ata_from_static(s: &[f64; STATIC_CHANNELS]) -> [f64; 36] {
 }
 
 /// The hypothesis-dependent right-hand side `A^T b` from the static and
-/// offset window sums (solver layout). Shared with the SIMD driver.
+/// offset window sums (solver layout). Shared with the lane kernels.
 pub(crate) fn atb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHANNELS]) -> [f64; 6] {
     [
         s[0] - t[0],
@@ -224,7 +223,7 @@ pub(crate) fn atb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHAN
 }
 
 /// The hypothesis-dependent `b^T b` scalar from the static and offset
-/// window sums. Shared with the SIMD driver.
+/// window sums. Shared with the lane kernels.
 pub(crate) fn btb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHANNELS]) -> f64 {
     (t[6] - 2.0 * t[0] + s[0]) + (t[7] - 2.0 * t[4] + s[9])
 }
@@ -234,7 +233,7 @@ pub(crate) fn btb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHAN
 /// loop is deliberately *dense* (all 36 terms): a structured zero-skip
 /// would diverge from the scalar path whenever `sol` carries a
 /// non-finite value (`0.0 * inf` is NaN, skipped terms are not). Shared
-/// with the SIMD driver.
+/// with the lane kernels.
 pub(crate) fn moment_error(ata: &[f64; 36], atb: &[f64; 6], btb: f64, sol: &[f64; 6]) -> f64 {
     let mut quad = 0.0f64;
     for i in 0..6 {
@@ -278,8 +277,8 @@ fn solve_moments(
     Some((sol, moment_error(&ata, &atb, btb, &sol)))
 }
 
-/// Track every pixel of `region` with the integral-image fast path,
-/// sequentially. Interior pixels (template window fully inside the
+/// Track every pixel of `region` with the integral-image fast path.
+/// Interior pixels (template window fully inside the
 /// frame) use the O(1)-per-hypothesis moment lookups; border pixels fall
 /// back to the exact kernel.
 ///
@@ -291,21 +290,7 @@ pub fn track_all_integral(
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
-    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1, false)
-}
-
-/// [`track_all_integral`] with host parallelism (Rayon) over offset
-/// planes and pixel rows. Result-identical to the sequential fast path.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_integral_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1, true)
+    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1)
 }
 
 /// The segmented fast path: like [`crate::precompute::track_all_segmented`],
@@ -329,7 +314,7 @@ pub fn track_all_integral_segmented(
             "segment must contain at least one hypothesis row".into(),
         ));
     }
-    track_integral_impl(frames, cfg, region, z_rows, true)
+    track_integral_impl(frames, cfg, region, z_rows)
 }
 
 fn track_integral_impl(
@@ -337,7 +322,6 @@ fn track_integral_impl(
     cfg: &SmaConfig,
     region: Region,
     z_rows: usize,
-    parallel: bool,
 ) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_integral");
     let (w, h) = frames.dims();
@@ -382,18 +366,8 @@ fn track_integral_impl(
     // exact kernel: both dispatch planes of the telemetry atlas.
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &border {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     let interior: Vec<(usize, usize)> = bounds
@@ -432,18 +406,10 @@ fn track_integral_impl(
             .collect();
         OFFSET_PLANES.add(offsets.len() as u64);
         let _plane_span = sma_obs::span("offset_planes");
-        let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = if parallel {
-            offsets
-                .par_iter()
-                .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
-                .collect()
-        } else {
-            offsets
-                .iter()
-                .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
-                .collect()
-        };
-
+        let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = offsets
+            .iter()
+            .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
+            .collect();
         drop(_plane_span);
 
         let evaluate =
@@ -485,21 +451,10 @@ fn track_integral_impl(
                 (local_best, local_second)
             };
 
-        if parallel {
-            let updated: Vec<((usize, usize), (MotionEstimate, f64))> = interior
-                .par_iter()
-                .map(|&(x, y)| ((x, y), evaluate(x, y, best.at(x, y), second.at(x, y))))
-                .collect();
-            for ((x, y), (est, sec)) in updated {
-                best.set(x, y, est);
-                second.set(x, y, sec);
-            }
-        } else {
-            for &(x, y) in &interior {
-                let (est, sec) = evaluate(x, y, best.at(x, y), second.at(x, y));
-                best.set(x, y, est);
-                second.set(x, y, sec);
-            }
+        for &(x, y) in &interior {
+            let (est, sec) = evaluate(x, y, best.at(x, y), second.at(x, y));
+            best.set(x, y, est);
+            second.set(x, y, sec);
         }
         // Segment's offset planes dropped here, exactly as on the PE.
         row0 = row1 + 1;
@@ -510,8 +465,8 @@ fn track_integral_impl(
     // trustworthy — re-evaluate those pixels with the exact kernel so
     // the winner (and the whole estimate) matches the sequential
     // reference by construction. The decision uses the globally best
-    // and runner-up errors, so it is identical for the sequential,
-    // parallel and segmented fast-path variants.
+    // and runner-up errors, so it is identical for the unsegmented and
+    // segmented fast-path variants.
     let ties: Vec<(usize, usize)> = interior
         .iter()
         .copied()
@@ -523,18 +478,8 @@ fn track_integral_impl(
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &ties {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     Ok(SmaResult {
@@ -793,11 +738,7 @@ mod tests {
         );
         assert_eq!(track_all_sequential(&f, &cfg, region).map(|_| ()), expected);
         assert_eq!(
-            crate::simd::track_all_simd(&f, &cfg, region).map(|_| ()),
-            expected
-        );
-        assert_eq!(
-            crate::parallel::track_all_parallel(&f, &cfg, region).map(|_| ()),
+            crate::pruned::track_all_pruned(&f, &cfg, region).map(|_| ()),
             expected
         );
         assert_eq!(
@@ -812,14 +753,8 @@ mod tests {
         let f = frames_for_shift(1.0, 1.0, &cfg);
         let region = Region::Interior { margin: 10 };
         let seq = track_all_integral(&f, &cfg, region).expect("fastpath");
-        let par = track_all_integral_parallel(&f, &cfg, region).expect("fastpath par");
         let seg = track_all_integral_segmented(&f, &cfg, region, 2).expect("fastpath seg");
         for (x, y) in seq.region.pixels() {
-            assert_eq!(
-                seq.estimates.at(x, y),
-                par.estimates.at(x, y),
-                "par ({x},{y})"
-            );
             assert_eq!(
                 seq.estimates.at(x, y),
                 seg.estimates.at(x, y),

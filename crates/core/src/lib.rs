@@ -31,35 +31,37 @@
 //!
 //! ## Drivers
 //!
+//! Each driver is the reference, reproduces the paper, or is the
+//! production path:
+//!
 //! * [`sequential`] — the reference implementation ("a sequential
 //!   (un-optimized) version ... was used to form a baseline for comparing
 //!   the correctness of the parallel algorithm results");
-//! * [`parallel`] — Rayon host-parallel driver, result-identical;
 //! * [`maspar_driver`] — execution against the `maspar-sim` machine
-//!   (folded data, read-out neighborhood fetching, cost ledger);
+//!   (folded data, read-out neighborhood fetching, cost ledger): the
+//!   paper's parallel algorithm, result-identical to [`sequential`];
 //! * [`precompute`] — §4.1's shared template-mapping precomputation with
 //!   the extended-window sliding minimization, and §4.3's segmentation
 //!   by hypothesis rows;
 //! * [`fastpath`] — O(1)-per-hypothesis matching: the normal equations
 //!   factor into moment planes whose summed-area tables answer every
-//!   tracked pixel's template sums in four corner lookups per moment;
-//! * [`simd`] — the fast path rebuilt on the [`sma_grid::simd`] 8-wide
-//!   lane kernels, with the 6×6 factorization amortized per pixel and
-//!   one resident 8-channel offset plane per hypothesis offset —
-//!   bit-identical to [`fastpath`] on every tested scene, ≥3× faster
-//!   on the medium bench scenario;
-//! * [`pruned`] — the pruned-search family: one seed-first sweep over
+//!   tracked pixel's template sums in four corner lookups per moment
+//!   (the scalar moment-identity reference, plus its segmented variant);
+//! * [`pruned`] — the production matcher: one seed-first sweep over
 //!   the hypothesis offsets that rejects candidates by an admissible
 //!   coarse decimated-lattice lower bound on the hypothesis error,
 //!   building each offset's plane at most once, into one resident
-//!   buffer, only where a candidate survives — bit-identical to the
-//!   SIMD/integral block by construction;
+//!   buffer, only where a candidate survives; below its cutover it runs
+//!   a plain raster sweep — bit-identical to [`fastpath`] either way;
+//! * [`simd`] — the pruned driver's kernels, built on the
+//!   [`sma_grid::simd`] 8-wide lane kernels: the 6×6 factorization
+//!   amortized per pixel and one resident, cell-interleaved 8-channel
+//!   offset plane;
 //! * [`timing`] — the calibrated workload/rate model that regenerates
 //!   the paper's Tables 2 and 4, Fig. 4 and the speed-up headlines;
-//! * [`plan`] — the adaptive execution planner: every entry point above
-//!   behind one [`plan::Driver`] trait, plus a cost-model-driven
-//!   per-tile strategy picker registered in the conformance matrix as
-//!   `planner_auto`.
+//! * [`plan`] — the adaptive execution planner: a per-tile strategy
+//!   picker over the drivers above, registered in the conformance
+//!   matrix as `planner_auto`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -72,7 +74,6 @@ pub mod ext;
 pub mod fastpath;
 pub mod maspar_driver;
 pub mod motion;
-pub mod parallel;
 pub mod plan;
 pub mod precompute;
 pub mod pruned;
@@ -83,14 +84,9 @@ pub mod timing;
 
 pub use affine::LocalAffine;
 pub use config::{MotionModel, SmaConfig};
-pub use fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-    track_all_translation_only,
-};
+pub use fastpath::{track_all_integral, track_all_integral_segmented, track_all_translation_only};
 pub use motion::{FrameArtifacts, MotionEstimate, SmaFrames};
-pub use parallel::track_all_parallel;
 pub use plan::{track_all_planner, track_all_planner_with, ExecutionPlanner, PlannerKnobs};
-pub use pruned::{track_all_pruned, track_all_pruned_parallel};
+pub use pruned::track_all_pruned;
 pub use sequential::track_all_sequential;
-pub use simd::{track_all_simd, track_all_simd_parallel};
 pub use sma_fault::{GridError, LedgerSnapshot, MasParError, SmaError, StereoError};

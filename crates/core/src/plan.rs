@@ -1,24 +1,27 @@
-//! The adaptive execution planner: one plan/execute engine over every
-//! driver entry point.
+//! The adaptive execution planner: one plan/execute engine over the
+//! driver entry points.
 //!
 //! The paper's §4.3 memory model and the MasPar mapping dictate *where*
-//! each strategy wins — the integral fast path when the moment planes
-//! fit, hypothesis-row segmentation when they do not, the exact kernel
-//! where the template window crosses the frame edge (the fast path
-//! would re-route every such pixel anyway) — but historically those
-//! choices were frozen into nine sibling drivers picked by the caller.
-//! This module turns them into data:
+//! each strategy wins — the moment fast path when the planes fit,
+//! hypothesis-row segmentation when they do not, the exact kernel where
+//! the template window crosses the frame edge (the fast path would
+//! re-route every such pixel anyway). This module turns those choices
+//! into data:
 //!
-//! * [`Driver`] — the one trait every entry point is reachable through
-//!   (the nine static drivers via [`Strategy`], the simulated machine
-//!   via [`MasparDriver`], the planner itself via [`ExecutionPlanner`]);
+//! * [`Strategy`] — a name for each static driver a plan can assign;
 //! * [`ExecutionPlanner`] — tiles the tracked region and picks a
-//!   per-tile [`Strategy`] from the §4.3
-//!   [`MemoryBudget`](maspar_sim::memory::MemoryBudget), the tile's
+//!   per-tile [`Strategy`] from the §4.3 [`MemoryBudget`], the tile's
 //!   border geometry, and (optionally) the observed near-tie density
 //!   fed back from the [`sma_obs::atlas`] telemetry planes;
 //! * [`track_all_planner`] — the planner as a plain driver entry point,
 //!   registered in the conformance matrix as `planner_auto`.
+//!
+//! Whether to screen candidates is the pruned driver's own decision
+//! ([`crate::pruned`] arms its screen on continuous-model sweeps of at
+//! least [`crate::pruned::PRUNE_MIN_HYPOTHESES`] hypotheses and runs a
+//! plain raster sweep otherwise), so the planner's interior strategy is
+//! simply the pruned driver, or the scalar integral path when
+//! [`PlannerKnobs::allow_simd`] is off.
 //!
 //! ## Determinism contract
 //!
@@ -45,9 +48,9 @@
 //! the assigned rectangles out. Exact-strategy tiles run the reference
 //! per-pixel loop directly (the sequential driver *is* that loop).
 //! Consequently, under default knobs the planner is bit-identical to
-//! the SIMD fast path on any region — interior tiles take the SIMD
-//! strategy, and an all-border tile's exact loop matches the fast
-//! path's own border fallback pixel for pixel.
+//! the pruned driver on any region — interior tiles take the pruned
+//! strategy, and an all-border tile's exact loop matches the driver's
+//! own border fallback pixel for pixel.
 //!
 //! Cancellation checkpoints ([`crate::cancel::checkpoint`]) run between
 //! tiles and strategy groups, so a served pair aborts at tile
@@ -55,85 +58,41 @@
 //! drivers, which already record recovered re-routes and degraded
 //! solves per injection site.
 
-use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
 use maspar_sim::memory::{MemoryBudget, GODDARD_PE_MEMORY_BYTES};
-use sma_fault::{GridError, SmaError};
+use sma_fault::SmaError;
 use sma_grid::{Grid, WindowBounds};
 use sma_obs::atlas::{AtlasChannel, AtlasSnapshot};
 
-use crate::config::{MotionModel, SmaConfig};
+use crate::config::SmaConfig;
 use crate::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-    track_all_translation_only,
+    track_all_integral, track_all_integral_segmented, track_all_translation_only,
 };
-use crate::maspar_driver::track_on_maspar;
 use crate::motion::{track_pixel, MotionEstimate, SmaFrames};
-use crate::parallel::track_all_parallel;
-use crate::precompute::track_all_segmented;
+use crate::pruned::track_all_pruned;
 use crate::sequential::{track_all_sequential, Region, SmaResult};
-use crate::simd::{track_all_simd, track_all_simd_parallel};
 
 /// PE-array edge of the Goddard MP-2 (16,384 PEs as a 128 x 128 grid) —
 /// the machine shape the planner's §4.3 budget is derived for.
 pub const GODDARD_PE_EDGE: usize = 128;
 
-/// Tracked-pixel count below which the planner prefers the sequential
-/// variant of a family even when the `parallel` knob is on: the
-/// row-parallel drivers' per-row dispatch (and, on a real rayon,
-/// thread fan-out) is pure overhead on small regions — the bench
-/// scenarios up to 96 x 96 all run faster sequentially — and the
-/// parallel/sequential pair of every family is bit-identical, so the
-/// cutover affects wall-clock only, never output bits.
-pub const PARALLEL_MIN_AREA: usize = 1 << 15;
-
-/// Minimum hypothesis count (`(2 nzs + 1)^2`) for the pruned-search
-/// strategy to be worth its screening overhead: the coarse bound pass
-/// costs roughly one extra decimated SAT per offset, which only pays
-/// for itself when there are enough candidates to reject. The hotpath
-/// bench puts the cutover below a 5 x 5 sweep — the pruned driver is
-/// ~2.5x faster than the exhaustive SIMD sweep even on the small
-/// 25-hypothesis scenario, since most offsets' planes never build —
-/// so only genuinely tiny sweeps (3 x 3) keep the plain SIMD strategy.
-pub const PRUNE_MIN_HYPOTHESES: usize = 25;
-
-/// One uniform execution strategy — a name for each static driver entry
-/// point, so a plan is plain data.
+/// One uniform execution strategy — a name for each static driver a
+/// plan can assign, so a plan is plain data.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Strategy {
     /// The sequential exact reference ([`track_all_sequential`]).
     Sequential,
-    /// Rayon row-parallel exact driver ([`track_all_parallel`]).
-    Parallel,
-    /// §4.1/§4.3 precompute with hypothesis-row segmentation
-    /// ([`track_all_segmented`]).
-    Segmented {
-        /// Hypothesis rows per resident segment.
-        z_rows: usize,
-    },
-    /// Moment-plane integral fast path, sequential
-    /// ([`track_all_integral`]).
+    /// Moment-plane integral fast path ([`track_all_integral`]).
     Integral,
-    /// Fast path, Rayon row-parallel ([`track_all_integral_parallel`]).
-    IntegralParallel,
     /// Fast path with hypothesis-row segmentation
     /// ([`track_all_integral_segmented`]).
     IntegralSegmented {
         /// Hypothesis rows of moment planes resident per segment.
         z_rows: usize,
     },
-    /// SIMD lane-kernel fast path, sequential ([`track_all_simd`]).
-    Simd,
-    /// SIMD fast path, Rayon row-parallel
-    /// ([`track_all_simd_parallel`]).
-    SimdParallel,
-    /// Pruned-search fast path, sequential
-    /// ([`crate::pruned::track_all_pruned`]): SIMD kernels plus
-    /// coarse-lattice candidate ordering and admissible early
-    /// termination. Bit-identical to the SIMD family by construction.
+    /// The pruned-search fast path on the SIMD lane kernels
+    /// ([`track_all_pruned`]), which screens its candidates wherever
+    /// that pays. Bit-identical to the integral family by construction.
     Pruned,
-    /// Pruned-search fast path, Rayon row-parallel
-    /// ([`crate::pruned::track_all_pruned_parallel`]).
-    PrunedParallel,
     /// Translation-only Fcont degraded mode
     /// ([`track_all_translation_only`]).
     TranslationOnly,
@@ -144,15 +103,9 @@ impl Strategy {
     pub fn name(self) -> &'static str {
         match self {
             Strategy::Sequential => "sequential",
-            Strategy::Parallel => "parallel",
-            Strategy::Segmented { .. } => "segmented",
             Strategy::Integral => "integral",
-            Strategy::IntegralParallel => "integral_par",
             Strategy::IntegralSegmented { .. } => "integral_seg",
-            Strategy::Simd => "simd",
-            Strategy::SimdParallel => "simd_par",
             Strategy::Pruned => "pruned",
-            Strategy::PrunedParallel => "pruned_par",
             Strategy::TranslationOnly => "translation_only",
         }
     }
@@ -160,145 +113,48 @@ impl Strategy {
     /// Whether this strategy evaluates the exact per-template summation
     /// (as opposed to a moment-plane reduction).
     pub fn is_exact(self) -> bool {
-        matches!(
-            self,
-            Strategy::Sequential | Strategy::Parallel | Strategy::Segmented { .. }
-        )
+        self == Strategy::Sequential
     }
-}
 
-/// The one interface every SMA driver is reachable through. All nine
-/// static entry points share the `(frames, cfg, region)` signature;
-/// implementors that need more (the simulated machine needs the raw
-/// input planes, the planner carries knobs and feedback) hold it as
-/// state.
-pub trait Driver {
-    /// Stable display / metrics name.
-    fn name(&self) -> &'static str;
-
-    /// Track every pixel of `region`.
+    /// Track every pixel of `region` with this strategy's driver.
     ///
     /// # Errors
     /// Propagates the underlying driver's [`SmaError`] (empty region,
-    /// machine memory breach, cancellation, ...).
-    fn run(
-        &self,
-        frames: &SmaFrames,
-        cfg: &SmaConfig,
-        region: Region,
-    ) -> Result<SmaResult, SmaError>;
-}
-
-impl Driver for Strategy {
-    fn name(&self) -> &'static str {
-        Strategy::name(*self)
-    }
-
-    fn run(
-        &self,
+    /// cancellation, ...).
+    pub fn run(
+        self,
         frames: &SmaFrames,
         cfg: &SmaConfig,
         region: Region,
     ) -> Result<SmaResult, SmaError> {
-        match *self {
+        match self {
             Strategy::Sequential => track_all_sequential(frames, cfg, region),
-            Strategy::Parallel => track_all_parallel(frames, cfg, region),
-            Strategy::Segmented { z_rows } => track_all_segmented(frames, cfg, region, z_rows),
             Strategy::Integral => track_all_integral(frames, cfg, region),
-            Strategy::IntegralParallel => track_all_integral_parallel(frames, cfg, region),
             Strategy::IntegralSegmented { z_rows } => {
                 track_all_integral_segmented(frames, cfg, region, z_rows)
             }
-            Strategy::Simd => track_all_simd(frames, cfg, region),
-            Strategy::SimdParallel => track_all_simd_parallel(frames, cfg, region),
-            Strategy::Pruned => crate::pruned::track_all_pruned(frames, cfg, region),
-            Strategy::PrunedParallel => {
-                crate::pruned::track_all_pruned_parallel(frames, cfg, region)
-            }
+            Strategy::Pruned => track_all_pruned(frames, cfg, region),
             Strategy::TranslationOnly => track_all_translation_only(frames, cfg, region),
         }
     }
 }
 
-/// The simulated-machine driver behind the [`Driver`] trait. §4.2's
-/// folding starts from the raw input planes (the machine prepares its
-/// own bundle on the PE array), so the adapter carries them alongside
-/// the machine shape and read-out scheme.
-pub struct MasparDriver<'a> {
-    /// Intensity plane at `t`.
-    pub intensity_before: &'a Grid<f32>,
-    /// Intensity plane at `t+1`.
-    pub intensity_after: &'a Grid<f32>,
-    /// Surface plane at `t`.
-    pub surface_before: &'a Grid<f32>,
-    /// Surface plane at `t+1`.
-    pub surface_after: &'a Grid<f32>,
-    /// Machine shape and cost model; a fresh machine is built per run.
-    pub machine: MachineConfig,
-    /// PE read-out scheme (§4.2 — must not change results).
-    pub readout: ReadoutScheme,
-}
-
-impl Driver for MasparDriver<'_> {
-    fn name(&self) -> &'static str {
-        "maspar"
-    }
-
-    fn run(
-        &self,
-        frames: &SmaFrames,
-        cfg: &SmaConfig,
-        region: Region,
-    ) -> Result<SmaResult, SmaError> {
-        // The prepared bundle and the raw planes must describe the same
-        // frames; dimensions are the cheap invariant we can check.
-        if frames.dims() != self.intensity_before.dims() {
-            return Err(GridError::ShapeMismatch {
-                expected: frames.dims(),
-                got: self.intensity_before.dims(),
-            }
-            .into());
-        }
-        let mut machine = MasPar::new(self.machine);
-        track_on_maspar(
-            &mut machine,
-            self.intensity_before,
-            self.intensity_after,
-            self.surface_before,
-            self.surface_after,
-            cfg,
-            region,
-            self.readout,
-        )
-        .map(|report| report.result)
-    }
-}
-
 /// The planner's tunable surface. The serve layer's backpressure ladder
 /// re-targets these knobs instead of hand-picking driver enums: one
-/// rung down disallows the SIMD family, the bottom rung forces
+/// rung down disallows the SIMD lane kernels, the bottom rung forces
 /// translation-only.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlannerKnobs {
     /// Tile edge in pixels (the last row/column of tiles truncates to
     /// the region). Minimum 1.
     pub tile: usize,
-    /// Permit the SIMD lane-kernel fast path.
+    /// Permit the pruned driver's SIMD lane kernels on interior tiles;
+    /// off plans the scalar integral fast path there instead. The two
+    /// are bit-identical, so this is a pure wall-clock knob.
     pub allow_simd: bool,
-    /// Permit the pruned-search fast path on top of the SIMD kernels
-    /// (candidate ordering + admissible early termination). Only
-    /// reachable when `allow_simd` is also on; the pruned family is
-    /// bit-identical to SIMD, so toggling this can never change output
-    /// bits — it is a pure wall-clock knob.
-    pub allow_pruned: bool,
-    /// Permit the scalar integral fast path (also the segmented moment
-    /// fallback when the budget forces chunking).
-    pub allow_integral: bool,
     /// Force the translation-only degraded mode everywhere (the
     /// shedding rung — comparable, not bit-identical output).
     pub translation_only: bool,
-    /// Use Rayon row-parallel variants for moment strategies.
-    pub parallel: bool,
     /// Hypothesis rows per segment; `None` derives the depth from the
     /// §4.3 budget (unsegmented when it fits).
     pub z_rows: Option<usize>,
@@ -316,10 +172,7 @@ impl Default for PlannerKnobs {
         Self {
             tile: 16,
             allow_simd: true,
-            allow_pruned: true,
-            allow_integral: true,
             translation_only: false,
-            parallel: true,
             z_rows: None,
             pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
             near_tie_exact_fraction: 0.25,
@@ -464,93 +317,42 @@ impl ExecutionPlanner {
         }
     }
 
-    /// Whether the plan should use the row-parallel variants for a
-    /// region of `area` tracked pixels: only when the knob allows it
-    /// AND the region is large enough that the per-row dispatch
-    /// overhead (and thread fan-out, on a real rayon) is amortized.
-    /// Below the threshold the sequential variants are measurably
-    /// *faster* — on the bench scenarios (up to 96 x 96) row-parallel
-    /// SIMD loses to sequential SIMD outright — and the
-    /// parallel/sequential pair of every family is bit-identical, so
-    /// this choice can never change output bits.
-    fn use_parallel(&self, area: usize) -> bool {
-        self.knobs.parallel && area >= PARALLEL_MIN_AREA
-    }
-
-    /// The moment-family strategy the budget admits: unsegmented SIMD or
-    /// integral when the full plane store fits, hypothesis-row
-    /// segmentation when it does not, the exact kernel when even one
-    /// row is too large (it needs no plane store).
-    fn moment_strategy(
-        &self,
-        budget: &MemoryBudget,
-        cfg: &SmaConfig,
-        area: usize,
-    ) -> (Strategy, PlanReason) {
+    /// The moment-family strategy the budget admits: the pruned driver
+    /// (or the integral path when `allow_simd` is off) when the full
+    /// plane store fits, hypothesis-row segmentation when it does not,
+    /// the exact kernel when even one row is too large (it needs no
+    /// plane store).
+    fn moment_strategy(&self, budget: &MemoryBudget, cfg: &SmaConfig) -> (Strategy, PlanReason) {
         let k = &self.knobs;
-        if !k.allow_simd && !k.allow_integral {
-            return (self.exact_strategy(area), PlanReason::Interior);
-        }
         let full = 2 * cfg.nzs + 1;
         let z = match k.z_rows {
             Some(z) if z > 0 => z.min(full),
             _ => match budget.fastpath_max_segment_rows() {
                 Some(z) => z,
-                None => return (self.exact_strategy(area), PlanReason::MemoryStarved),
+                None => return (Strategy::Sequential, PlanReason::MemoryStarved),
             },
         };
         if z < full {
-            // Only the scalar integral family has a segmented variant;
-            // the segment loop itself is row-parallel inside.
+            // Only the scalar integral family has a segmented variant.
             return (
                 Strategy::IntegralSegmented { z_rows: z },
                 PlanReason::SegmentedBudget,
             );
         }
-        let parallel = self.use_parallel(area);
-        let search_span = 2 * cfg.nzs + 1;
         let s = if k.allow_simd {
-            // The pruned family rides on the SIMD kernels and only arms
-            // its screen under the continuous model, so it is preferred
-            // exactly where it can win: big-enough hypothesis
-            // neighborhoods on continuous-model configs. It is
-            // bit-identical to SIMD, so the preference is a pure
-            // wall-clock choice.
-            if k.allow_pruned
-                && cfg.model == MotionModel::Continuous
-                && search_span * search_span >= PRUNE_MIN_HYPOTHESES
-            {
-                if parallel {
-                    Strategy::PrunedParallel
-                } else {
-                    Strategy::Pruned
-                }
-            } else if parallel {
-                Strategy::SimdParallel
-            } else {
-                Strategy::Simd
-            }
-        } else if parallel {
-            Strategy::IntegralParallel
+            Strategy::Pruned
         } else {
             Strategy::Integral
         };
         (s, PlanReason::Interior)
     }
 
-    fn exact_strategy(&self, area: usize) -> Strategy {
-        if self.use_parallel(area) {
-            Strategy::Parallel
-        } else {
-            Strategy::Sequential
-        }
-    }
-
     /// Tile the region and assign strategies. Pure in `(frames, cfg,
     /// region, knobs, feedback)` — see the determinism contract.
     ///
     /// # Errors
-    /// [`GridError::EmptyRegion`] if the region is empty for the frame.
+    /// [`sma_fault::GridError::EmptyRegion`] if the region is empty for
+    /// the frame.
     pub fn plan(
         &self,
         frames: &SmaFrames,
@@ -570,11 +372,7 @@ impl ExecutionPlanner {
             y1: h - 1 - nzt,
         });
         let budget = self.budget_for(w, h, cfg);
-        // Parallelism pays off (or not) at the scale of the whole
-        // tracked region — strategy groups execute over bounding boxes,
-        // not single tiles — so the cutover uses the region area.
-        let area = bounds.area();
-        let (moment, moment_reason) = self.moment_strategy(&budget, cfg, area);
+        let (moment, moment_reason) = self.moment_strategy(&budget, cfg);
 
         let mut tiles = Vec::new();
         let mut ty = bounds.y0;
@@ -633,7 +431,7 @@ impl ExecutionPlanner {
                 // A near-tie-dense tile pays the moment lookups and
                 // then re-routes most pixels through the exact kernel;
                 // going exact directly does the work once.
-                return (self.exact_strategy(tb.area()), PlanReason::NearTieDense);
+                return (Strategy::Sequential, PlanReason::NearTieDense);
             }
         }
         (moment, moment_reason)
@@ -729,27 +527,12 @@ impl ExecutionPlanner {
     }
 }
 
-impl Driver for ExecutionPlanner {
-    fn name(&self) -> &'static str {
-        "planner_auto"
-    }
-
-    fn run(
-        &self,
-        frames: &SmaFrames,
-        cfg: &SmaConfig,
-        region: Region,
-    ) -> Result<SmaResult, SmaError> {
-        ExecutionPlanner::run(self, frames, cfg, region)
-    }
-}
-
 /// The planner as a plain driver entry point: default knobs, no
 /// feedback (the conformance-registered `planner_auto` configuration).
 ///
 /// # Errors
-/// [`GridError::EmptyRegion`] if the region is empty; propagates
-/// per-tile driver errors.
+/// [`sma_fault::GridError::EmptyRegion`] if the region is empty;
+/// propagates per-tile driver errors.
 pub fn track_all_planner(
     frames: &SmaFrames,
     cfg: &SmaConfig,

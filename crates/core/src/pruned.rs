@@ -1,9 +1,9 @@
-//! The pruned-search fastpath driver family: a coarse-lattice screen
-//! plus admissible early termination in one seed-first sweep over a
-//! single resident offset plane, bit-identical to the SIMD/integral
-//! block.
+//! The pruned-search fastpath driver — the production matcher: a
+//! coarse-lattice screen plus admissible early termination in one
+//! seed-first sweep over a single resident offset plane, on the
+//! [`crate::simd`] lane kernels, bit-identical to the integral block.
 //!
-//! The exhaustive fastpath drivers evaluate every pixel against every
+//! An exhaustive sweep evaluates every pixel against every
 //! hypothesis offset — `(2 Nzs + 1)^2` O(1) moment evaluations per
 //! pixel, plus one full 8-channel offset SAT *build* per offset. This
 //! driver cuts the evaluations in three moves and keeps the moment store
@@ -45,23 +45,24 @@
 //!    never be skipped (its true error is below every incumbent), no
 //!    skipped candidate can change the near-tie verdict (it is provably
 //!    outside the band around the final best), and every *evaluated*
-//!    candidate goes through the SIMD driver's own evaluation
-//!    ([`crate::simd`]'s `eval_candidate`: same plane SAT, same LU
-//!    solve) — the same bits whatever the visit order. Output is
-//!    therefore bit-identical to [`crate::simd`] / [`crate::fastpath`]
-//!    by construction; the conformance matrix pins it at run time.
+//!    candidate goes through one evaluation ([`crate::simd`]'s
+//!    `eval_candidate`: same plane SAT, same LU solve) — the same bits
+//!    whatever the visit order. Output is therefore bit-identical to
+//!    the driver's own raster sweep and to [`crate::fastpath`] by
+//!    construction; the conformance matrix pins it at run time.
 //!
-//! The screen arms only when it is provably safe: continuous model
-//! (the semi-fluid correspondence search prices each decimated sample
-//! like a full one, erasing the build saving), the `SMA_PRUNE` toggle
-//! on, and a one-pass global scan confirming every screen input is
-//! finite and bounded (which rules out the mid-search non-finite-sum
-//! re-route, so the visit *order* cannot change which exact-kernel
-//! fallback fires). Otherwise the driver degrades to a plain raster
-//! sweep that is structurally the SIMD loop — and the prune-off
-//! equivalence tests assert not one output bit moves either way.
+//! This module alone decides whether to screen. The screen arms only
+//! where it pays and is provably safe: continuous model (the semi-fluid
+//! correspondence search prices each decimated sample like a full one,
+//! erasing the build saving), at least [`PRUNE_MIN_HYPOTHESES`]
+//! hypotheses, the `SMA_PRUNE` toggle on, and a one-pass global scan
+//! confirming every screen input is finite and bounded (which rules out
+//! the mid-search non-finite-sum re-route, so the visit *order* cannot
+//! change which exact-kernel fallback fires). Otherwise the driver runs
+//! a plain raster sweep — every offset ascending, one resident plane —
+//! and the prune-off equivalence tests assert not one output bit moves
+//! either way.
 
-use rayon::prelude::*;
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::prune::{inv3, quad_min, DecimatedMoments, EvenWindow};
 use sma_grid::Grid;
@@ -92,6 +93,15 @@ static PRUNED_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("pruned.near_ti
 /// this above zero so the screen cannot silently degrade to an
 /// exhaustive sweep.
 static CANDIDATES_SKIPPED: sma_obs::Counter = sma_obs::Counter::new("prune.candidates_skipped");
+
+/// Minimum hypothesis count (`(2 nzs + 1)^2`) for the screen to pay for
+/// itself: the bound fill costs roughly one decimated SAT per offset, and
+/// a 3 x 3 sweep has too few candidates to reject for that to win back.
+/// On 96² Florida and Luis analogs (median of 15 alternating rounds,
+/// identical output bits throughout) the screened sweep read 0.88–1.02×
+/// the raster sweep's speed at 3 x 3, 1.12–1.28× at 5 x 5 and 1.83–2.60×
+/// at 9 x 9 and 15 x 15.
+pub const PRUNE_MIN_HYPOTHESES: usize = 25;
 
 /// Magnitude ceiling for the screen-arming scan. With every per-pixel
 /// screen input below this, each moment channel is at most a cubic
@@ -157,37 +167,6 @@ struct PixelScreen {
     s_sub: [f64; 3],
 }
 
-/// Track every pixel of `region` with the pruned-search moment path,
-/// sequentially. Output is bit-identical to [`crate::simd::track_all_simd`]
-/// (and therefore the whole integral family) by construction — see the
-/// module docs; the conformance matrix pins the contract at run time.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_pruned(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_pruned_impl(frames, cfg, region, false)
-}
-
-/// [`track_all_pruned`] with host parallelism (Rayon) over the border,
-/// the screening bounds, per-offset evaluation batches and the near-tie
-/// re-route. Result-identical to the sequential pruned driver.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_pruned_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_pruned_impl(frames, cfg, region, true)
-}
-
 /// True when every per-pixel input the screen (and the offset planes)
 /// consumes is finite and within [`SCREEN_MAX_MAGNITUDE`] — the
 /// precondition under which no window sum can go non-finite, so the
@@ -215,11 +194,18 @@ fn screen_inputs_bounded(
     true
 }
 
-fn track_pruned_impl(
+/// Track every pixel of `region` with the pruned-search moment path.
+/// Output is bit-identical to [`crate::fastpath::track_all_integral`] by
+/// construction, screened or not — see the module docs; the conformance
+/// matrix pins the contract at run time.
+///
+/// # Errors
+/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
+/// frame size.
+pub fn track_all_pruned(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     region: Region,
-    parallel: bool,
 ) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_pruned");
     let (w, h) = frames.dims();
@@ -258,18 +244,8 @@ fn track_pruned_impl(
     }
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
     crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &border {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     let interior: Vec<(usize, usize)> = bounds
@@ -285,20 +261,20 @@ fn track_pruned_impl(
         });
     }
 
-    // Static phase: identical to the SIMD driver — same moment SAT, same
-    // hoisted gradient planes, same per-pixel factorization.
+    // Static phase: the moment SAT, the hoisted gradient planes and the
+    // per-pixel factorization.
     let static_span = sma_obs::span("pruned_static");
     let stat = StaticMoments::compute(frames);
     let (gx_plane, gy_plane) = gradient_planes(frames);
-    let prefactor = |&p: &(usize, usize)| prefactor(frames, cfg, &stat, p, &PRUNED_FACTORIZATIONS);
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
-        interior.par_iter().map(prefactor).unzip()
-    } else {
-        interior.iter().map(prefactor).unzip()
-    };
+    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = interior
+        .iter()
+        .map(|&p| prefactor(frames, cfg, &stat, p, &PRUNED_FACTORIZATIONS))
+        .unzip();
     drop(static_span);
 
+    let side = 2 * cfg.nzs + 1;
     let screen_on = cfg.model == MotionModel::Continuous
+        && side * side >= PRUNE_MIN_HYPOTHESES
         && sma_grid::prune::enabled()
         && screen_inputs_bounded(frames, &stat, &gx_plane, &gy_plane);
 
@@ -310,32 +286,19 @@ fn track_pruned_impl(
             planes.build(frames, cfg, &stat, &gx_plane, &gy_plane, offset, extent);
         };
     if !screen_on {
-        // Degraded mode: a plain raster sweep, structurally the SIMD
-        // driver's offset loop (one resident plane, ascending row-major
-        // offsets). Bit-identity here is inheritance, not argument.
+        // Raster sweep: every offset in ascending row-major order — the
+        // hypothesis order of every other driver, so strict-less winner
+        // updates agree — one resident plane, every pixel evaluated.
         let extent = sat_extent(interior.iter().copied(), nt);
         for oy in -ns..=ns {
             crate::cancel::checkpoint()?;
             for ox in -ns..=ns {
                 build_plane(&mut planes, (ox, oy), extent);
                 let _eval_span = sma_obs::span("pruned_eval");
-                let eval = |((&p, sys), st): ((&(usize, usize), &PixelSystem), &mut EvalState)| {
+                for ((&p, sys), st) in interior.iter().zip(&systems).zip(&mut states) {
                     if !st.done {
                         eval_candidate(frames, cfg, &planes, p, sys, st, ox, oy);
                     }
-                };
-                if parallel {
-                    interior
-                        .par_iter()
-                        .zip(systems.par_iter())
-                        .zip(states.par_iter_mut())
-                        .for_each(eval);
-                } else {
-                    interior
-                        .iter()
-                        .zip(systems.iter())
-                        .zip(states.iter_mut())
-                        .for_each(eval);
                 }
             }
         }
@@ -364,17 +327,12 @@ fn track_pruned_impl(
                 s_sub: [s[0], s[1], s[2]],
             })
         };
-        let screens: Vec<Option<PixelScreen>> = if parallel {
-            interior.par_iter().map(screen_for).collect()
-        } else {
-            interior.iter().map(screen_for).collect()
-        };
+        let screens: Vec<Option<PixelScreen>> = interior.iter().map(screen_for).collect();
 
         // One deflated lower bound per (offset, pixel), offset-major,
         // from one decimated a-channel table refilled per offset. Each
         // pixel's seed — the offset with the smallest bound, strict `<`
         // so the first in raster order wins ties — folds into the fill.
-        let side = (2 * ns + 1) as usize;
         let n_off = side * side;
         let np = interior.len();
         let offsets: Vec<(isize, isize)> = (-ns..=ns)
@@ -392,35 +350,23 @@ fn track_pruned_impl(
                 let t2 = ie2 * gx;
                 [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
             });
-            let bound =
-                |((b, scr), seed): ((&mut f64, &Option<PixelScreen>), &mut (f64, usize))| {
-                    *b = match scr {
-                        Some(scr) => {
-                            let t = dec.sum(&scr.win);
-                            let s = &scr.s_sub;
-                            let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
-                            let btb_a = t[3] - 2.0 * t[0] + s[0];
-                            let raw = quad_min(btb_a, &atb_a, &scr.inv_a);
-                            let guard = LB_GUARD_ABS
-                                + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
-                            ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
-                        }
-                        None => 0.0,
-                    };
-                    if *b < seed.0 {
-                        *seed = (*b, oi);
+            for ((b, scr), seed) in out.iter_mut().zip(&screens).zip(&mut seeds) {
+                *b = match scr {
+                    Some(scr) => {
+                        let t = dec.sum(&scr.win);
+                        let s = &scr.s_sub;
+                        let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
+                        let btb_a = t[3] - 2.0 * t[0] + s[0];
+                        let raw = quad_min(btb_a, &atb_a, &scr.inv_a);
+                        let guard =
+                            LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
+                        ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
                     }
+                    None => 0.0,
                 };
-            if parallel {
-                out.par_iter_mut()
-                    .zip(screens.par_iter())
-                    .zip(seeds.par_iter_mut())
-                    .for_each(bound);
-            } else {
-                out.iter_mut()
-                    .zip(screens.iter())
-                    .zip(seeds.iter_mut())
-                    .for_each(bound);
+                if *b < seed.0 {
+                    *seed = (*b, oi);
+                }
             }
         }
         drop(screen_span);
@@ -468,27 +414,10 @@ fn track_pruned_impl(
             let extent = sat_extent(todo.iter().map(|&i| interior[i]), nt);
             build_plane(&mut planes, (ox, oy), extent);
             let _eval_span = sma_obs::span("pruned_eval");
-            let eval = |i: usize, st: &mut EvalState| {
+            for &i in &todo {
+                let st = &mut states[i];
                 eval_candidate(frames, cfg, &planes, interior[i], &systems[i], st, ox, oy);
-            };
-            if parallel {
-                let updated: Vec<EvalState> = todo
-                    .par_iter()
-                    .map(|&i| {
-                        let mut st = states[i].clone();
-                        eval(i, &mut st);
-                        st
-                    })
-                    .collect();
-                for (&i, st) in todo.iter().zip(updated) {
-                    thr[i] = search_threshold(&st);
-                    states[i] = st;
-                }
-            } else {
-                for &i in &todo {
-                    eval(i, &mut states[i]);
-                    thr[i] = search_threshold(&states[i]);
-                }
+                thr[i] = search_threshold(st);
             }
         }
         CANDIDATES_SKIPPED.add(skipped);
@@ -502,7 +431,7 @@ fn track_pruned_impl(
     // Shared near-tie guard: identical predicate, identical re-route.
     // The screen never skips a candidate inside the band around the
     // final best, so the observed runner-up classifies each pixel
-    // exactly as the exhaustive drivers would.
+    // exactly as an exhaustive sweep would.
     let ties: Vec<(usize, usize)> = interior
         .iter()
         .zip(&seconds)
@@ -512,18 +441,8 @@ fn track_pruned_impl(
     PRUNED_NEAR_TIE.add(ties.len() as u64);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
+    for &(x, y) in &ties {
+        best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
     Ok(SmaResult {
@@ -536,7 +455,7 @@ fn track_pruned_impl(
 mod tests {
     use super::*;
     use crate::config::MotionModel;
-    use crate::simd::track_all_simd;
+    use crate::fastpath::track_all_integral;
     use sma_grid::warp::translate;
     use sma_grid::{BorderPolicy, Vec2};
 
@@ -573,28 +492,22 @@ mod tests {
     }
 
     #[test]
-    fn pruned_drivers_are_bit_identical_to_simd() {
+    fn pruned_driver_is_bit_identical_to_integral() {
         // The load-bearing equivalence: every estimate field must match
-        // the SIMD driver (and through it the whole fastpath block) to
-        // the bit, both models (SemiFluid exercises the raster
-        // degraded mode), full region including the border ring.
+        // the scalar integral driver to the bit, both models (SemiFluid
+        // runs the raster sweep), full region including the border
+        // fallback ring.
         for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
             let cfg = SmaConfig::small_test(model);
             let f = frames_for_shift(1.0, 1.0, &cfg);
             let region = Region::Full;
-            let simd = track_all_simd(&f, &cfg, region).expect("simd");
-            let seq = track_all_pruned(&f, &cfg, region).expect("pruned");
-            let par = track_all_pruned_parallel(&f, &cfg, region).expect("pruned par");
-            for (x, y) in simd.region.pixels() {
+            let scalar = track_all_integral(&f, &cfg, region).expect("fastpath");
+            let pruned = track_all_pruned(&f, &cfg, region).expect("pruned");
+            for (x, y) in scalar.region.pixels() {
                 assert_eq!(
-                    simd.estimates.at(x, y),
-                    seq.estimates.at(x, y),
-                    "{model:?} seq ({x},{y})"
-                );
-                assert_eq!(
-                    simd.estimates.at(x, y),
-                    par.estimates.at(x, y),
-                    "{model:?} par ({x},{y})"
+                    scalar.estimates.at(x, y),
+                    pruned.estimates.at(x, y),
+                    "{model:?} ({x},{y})"
                 );
             }
         }
@@ -616,7 +529,7 @@ mod tests {
     fn flat_surface_untrackable_in_pruned_path() {
         // Singular per-pixel systems: the screen is unscreenable
         // (inv_a = None, bound 0) and every hypothesis is evaluated
-        // and skipped, matching the SIMD outcome.
+        // and skipped, matching the scalar outcome.
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let flat = Grid::filled(30, 30, 1.0f32);
         let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
@@ -661,6 +574,22 @@ mod tests {
         sma_grid::prune::set_enabled(false);
         let off = track_all_pruned(&f, &cfg, region).expect("pruned off");
         sma_grid::prune::set_enabled(true);
+        for (x, y) in on.region.pixels() {
+            assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
+        }
+    }
+
+    #[test]
+    fn simd_toggle_off_still_bit_identical() {
+        // SMA_SIMD=off routes the *grid* kernels back to scalar loops;
+        // the driver's own moment path must not care.
+        let cfg = SmaConfig::small_test(MotionModel::Continuous);
+        let f = frames_for_shift(1.0, 0.0, &cfg);
+        let region = Region::Interior { margin: 10 };
+        sma_grid::simd::set_enabled(false);
+        let off = track_all_pruned(&f, &cfg, region).expect("simd off");
+        sma_grid::simd::set_enabled(true);
+        let on = track_all_pruned(&f, &cfg, region).expect("simd on");
         for (x, y) in on.region.pixels() {
             assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
         }

@@ -1,5 +1,6 @@
-//! The SIMD fastpath driver family: lane-friendly moment kernels with a
-//! per-pixel LU factorization, bit-identical to the scalar fast path.
+//! The lane-friendly moment kernels the pruned driver
+//! ([`crate::pruned`]) evaluates candidates with, bit-identical to the
+//! scalar fast path.
 //!
 //! Three structural wins over [`crate::fastpath`], with **zero** change
 //! in output bits:
@@ -29,41 +30,24 @@
 //! association (interleaving changes where a sum is stored, not how it
 //! is formed), corner lookups with the same `((a - b) - c) + d` grouping
 //! (the zero pad substitutes the same literal `0.0` the scalar branches
-//! produce), the same near-tie re-route predicate
-//! ([`crate::fastpath::near_tie`]), and an LU apply proven (and tested)
-//! bit-equal to `solve6`. The conformance matrix pins the family's
-//! contract: bit-identical within the SIMD family, ULP-bounded with
-//! exact displacements against the scalar integral family.
+//! produce), and an LU apply proven (and tested) bit-equal to `solve6`.
+//! The conformance matrix pins the pruned driver's contract against the
+//! scalar integral family at run time.
 
-use rayon::prelude::*;
-use sma_fault::{FaultSite, SmaError};
 use sma_grid::{Grid, Vec2};
 use sma_linalg::gauss::Lu6;
 
 use crate::affine::LocalAffine;
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{
-    ata_from_static, atb_from_moments, btb_from_moments, moment_error, near_tie, StaticMoments,
+    ata_from_static, atb_from_moments, btb_from_moments, moment_error, StaticMoments,
     OFFSET_CHANNELS, STATIC_CHANNELS,
 };
 use crate::motion::{
     refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
     HYPOTHESES,
 };
-use crate::sequential::{Region, SmaResult};
 use crate::template_map::semifluid_correspondence;
-
-/// Border pixels routed to the exact kernel (window crosses the edge).
-static SIMD_BORDER: sma_obs::Counter = sma_obs::Counter::new("simd.border_fallback_pixels");
-/// Interior pixels served by the SIMD moment path.
-static SIMD_INTERIOR: sma_obs::Counter = sma_obs::Counter::new("simd.interior_pixels");
-/// Reused-buffer offset planes built (one per hypothesis offset).
-static SIMD_PLANES: sma_obs::Counter = sma_obs::Counter::new("simd.offset_planes_built");
-/// Per-pixel `A^T A` LU factorizations (the amortization unit: one per
-/// interior pixel, replacing one full elimination per hypothesis).
-static SIMD_FACTORIZATIONS: sma_obs::Counter = sma_obs::Counter::new("simd.lu_factorizations");
-/// Pixels re-routed to the exact kernel by the shared near-tie guard.
-static SIMD_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("simd.near_tie_pixels");
 
 /// Per-pixel hypothesis-independent state: static window sums, the
 /// assembled `A^T A`, and its LU factorization (`None` = singular, which
@@ -74,10 +58,8 @@ pub(crate) struct PixelSystem {
     pub(crate) lu: Option<Lu6>,
 }
 
-/// Per-pixel running search state, carried across the offset loop.
-/// Shared with the pruned driver family ([`crate::pruned`]), which
-/// carries the same state through its reordered candidate visits.
-#[derive(Clone)]
+/// Per-pixel running search state, carried across the pruned driver's
+/// candidate visits, whatever order they come in.
 pub(crate) struct EvalState {
     pub(crate) best: MotionEstimate,
     /// Runner-up error (`inf` = none yet, `-inf` = pixel already holds
@@ -231,7 +213,7 @@ impl OffsetPlanes {
     }
 }
 
-/// Per-pixel static phase shared by the SIMD and pruned drivers: the
+/// Per-pixel static phase of the pruned driver: the
 /// static window sums, the assembled `A^T A` and its LU factorization
 /// (counted on `factorizations`), plus the pixel's initial search state.
 /// Non-finite static sums re-route the pixel through the exact kernel
@@ -275,10 +257,10 @@ pub(crate) fn prefactor(
 
 /// Evaluate hypothesis `(ox, oy)` for interior pixel `(x, y)` against
 /// the offset's resident `planes`, updating the pixel's running best and
-/// runner-up in place. Every candidate of the SIMD sweep and every
-/// candidate the pruned search evaluates goes through this one function,
-/// so an evaluation yields the same bits in either driver, whatever the
-/// order candidates are visited in.
+/// runner-up in place. Every candidate the pruned driver evaluates, in
+/// its screened sweep or its raster sweep, goes through this one
+/// function, so an evaluation yields the same bits whatever the order
+/// candidates are visited in.
 #[allow(clippy::too_many_arguments)] // hot-loop state threading
 #[inline]
 pub(crate) fn eval_candidate(
@@ -380,194 +362,11 @@ pub(crate) fn sat_extent(
     })
 }
 
-/// Track every pixel of `region` with the SIMD moment path,
-/// sequentially. Output is bit-identical to
-/// [`crate::fastpath::track_all_integral`] by construction (see the
-/// module docs); the conformance matrix additionally pins the family
-/// contract at run time.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_simd(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_simd_impl(frames, cfg, region, false)
-}
-
-/// [`track_all_simd`] with host parallelism (Rayon) over the border,
-/// per-offset evaluation sweep and near-tie re-route. Result-identical
-/// to the sequential SIMD driver.
-///
-/// # Errors
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
-pub fn track_all_simd_parallel(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-) -> Result<SmaResult, SmaError> {
-    track_simd_impl(frames, cfg, region, true)
-}
-
-fn track_simd_impl(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-    parallel: bool,
-) -> Result<SmaResult, SmaError> {
-    let _span = sma_obs::span("track_simd");
-    let (w, h) = frames.dims();
-    let bounds = region.bounds_checked(w, h)?;
-    crate::cancel::checkpoint()?;
-    let ns = cfg.nzs as isize;
-    let template = cfg.template_window();
-
-    let mut best: Grid<MotionEstimate> = Grid::filled(w, h, MotionEstimate::invalid());
-
-    // Border + fault-poisoned pixels route to the exact kernel, exactly
-    // as in the scalar fast path (same injection sites, same keys, same
-    // deterministic ordering).
-    let mut border: Vec<(usize, usize)> = bounds
-        .pixels()
-        .filter(|&(x, y)| !template.fits_at(x, y, w, h))
-        .collect();
-    SIMD_BORDER.add(border.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::BorderFallback, &border);
-    let mut poisoned: std::collections::HashSet<(usize, usize)> = std::collections::HashSet::new();
-    if sma_fault::enabled() {
-        for (x, y) in bounds.pixels() {
-            if template.fits_at(x, y, w, h) {
-                if let Some(token) =
-                    sma_fault::inject(FaultSite::MomentPlane, sma_fault::key2(x as u64, y as u64))
-                {
-                    token.recovered();
-                    poisoned.insert((x, y));
-                }
-            }
-        }
-        let mut rerouted: Vec<(usize, usize)> = poisoned.iter().copied().collect();
-        rerouted.sort_unstable();
-        border.extend(rerouted);
-    }
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &border);
-    crate::cancel::checkpoint()?;
-    if parallel {
-        let tracked: Vec<((usize, usize), MotionEstimate)> = border
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in tracked {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &border {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
-    }
-
-    let interior: Vec<(usize, usize)> = bounds
-        .pixels()
-        .filter(|&(x, y)| template.fits_at(x, y, w, h) && !poisoned.contains(&(x, y)))
-        .collect();
-    SIMD_INTERIOR.add(interior.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchSimd, &interior);
-    if interior.is_empty() {
-        return Ok(SmaResult {
-            estimates: best,
-            region: bounds,
-        });
-    }
-
-    // Static phase: moment SAT, hoisted gradient planes, and the
-    // per-pixel system factorization.
-    let static_span = sma_obs::span("simd_static");
-    let stat = StaticMoments::compute(frames);
-    let (gx_plane, gy_plane) = gradient_planes(frames);
-
-    let prefactor = |&p: &(usize, usize)| prefactor(frames, cfg, &stat, p, &SIMD_FACTORIZATIONS);
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = if parallel {
-        interior.par_iter().map(prefactor).unzip()
-    } else {
-        interior.iter().map(prefactor).unzip()
-    };
-    drop(static_span);
-
-    // Offset loop, ascending row-major — the same hypothesis order as
-    // every other driver, so strict-less winner updates agree.
-    let mut planes = OffsetPlanes::new(w, h);
-    let extent = sat_extent(interior.iter().copied(), cfg.nzt);
-    for oy in -ns..=ns {
-        crate::cancel::checkpoint()?;
-        for ox in -ns..=ns {
-            {
-                let _plane_span = sma_obs::span("simd_offset_planes");
-                SIMD_PLANES.incr();
-                planes.build(frames, cfg, &stat, &gx_plane, &gy_plane, (ox, oy), extent);
-            }
-            let _eval_span = sma_obs::span("simd_eval");
-            let eval = |((&p, sys), st): ((&(usize, usize), &PixelSystem), &mut EvalState)| {
-                if !st.done {
-                    eval_candidate(frames, cfg, &planes, p, sys, st, ox, oy);
-                }
-            };
-            if parallel {
-                interior
-                    .par_iter()
-                    .zip(systems.par_iter())
-                    .zip(states.par_iter_mut())
-                    .for_each(eval);
-            } else {
-                interior
-                    .iter()
-                    .zip(systems.iter())
-                    .zip(states.iter_mut())
-                    .for_each(eval);
-            }
-        }
-    }
-    for (&(x, y), st) in interior.iter().zip(&states) {
-        best.set(x, y, st.best);
-    }
-    let seconds: Vec<f64> = states.iter().map(|st| st.second).collect();
-
-    // Shared near-tie guard: identical predicate, identical re-route.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .zip(&seconds)
-        .filter(|(&(x, y), &sec)| best.at(x, y).valid && near_tie(best.at(x, y).error, sec))
-        .map(|(&p, _)| p)
-        .collect();
-    SIMD_NEAR_TIE.add(ties.len() as u64);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
-    sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
-    if parallel {
-        let rerun: Vec<((usize, usize), MotionEstimate)> = ties
-            .par_iter()
-            .map(|&(x, y)| ((x, y), track_pixel(frames, cfg, x, y)))
-            .collect();
-        for ((x, y), est) in rerun {
-            best.set(x, y, est);
-        }
-    } else {
-        for &(x, y) in &ties {
-            best.set(x, y, track_pixel(frames, cfg, x, y));
-        }
-    }
-
-    Ok(SmaResult {
-        estimates: best,
-        region: bounds,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MotionModel;
-    use crate::fastpath::{offset_moments, track_all_integral};
+    use crate::fastpath::offset_moments;
     use sma_grid::warp::translate;
     use sma_grid::BorderPolicy;
 
@@ -576,12 +375,6 @@ mod tests {
             let (xf, yf) = (x as f32, y as f32);
             (xf * 0.45).sin() * 2.0 + (yf * 0.35).cos() * 1.5 + (xf * 0.12 + yf * 0.21).sin() * 3.0
         })
-    }
-
-    fn frames_for_shift(dx: f32, dy: f32, cfg: &SmaConfig) -> SmaFrames {
-        let before = wavy(30, 30);
-        let after = translate(&before, -dx, -dy, BorderPolicy::Clamp);
-        SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
     }
 
     #[test]
@@ -637,74 +430,6 @@ mod tests {
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn simd_drivers_are_bit_identical_to_scalar_fastpath() {
-        // The load-bearing equivalence: every estimate field must match
-        // the scalar integral driver to the bit, both models, region
-        // including the border fallback ring.
-        for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
-            let cfg = SmaConfig::small_test(model);
-            let f = frames_for_shift(1.0, 1.0, &cfg);
-            let region = Region::Full;
-            let scalar = track_all_integral(&f, &cfg, region).expect("fastpath");
-            let seq = track_all_simd(&f, &cfg, region).expect("simd");
-            let par = track_all_simd_parallel(&f, &cfg, region).expect("simd par");
-            for (x, y) in scalar.region.pixels() {
-                assert_eq!(
-                    scalar.estimates.at(x, y),
-                    seq.estimates.at(x, y),
-                    "{model:?} seq ({x},{y})"
-                );
-                assert_eq!(
-                    scalar.estimates.at(x, y),
-                    par.estimates.at(x, y),
-                    "{model:?} par ({x},{y})"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn simd_tracks_known_shift() {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(2.0, -1.0, &cfg);
-        let r = track_all_simd(&f, &cfg, Region::Interior { margin: 10 }).expect("simd");
-        for (x, y) in r.region.pixels() {
-            let e = r.estimates.at(x, y);
-            assert!(e.valid, "({x},{y})");
-            assert_eq!(e.displacement, Vec2::new(2.0, -1.0), "({x},{y})");
-        }
-    }
-
-    #[test]
-    fn flat_surface_untrackable_in_simd_path() {
-        // Singular per-pixel systems (lu = None, disarmed): every
-        // hypothesis is skipped, matching the scalar outcome.
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let flat = Grid::filled(30, 30, 1.0f32);
-        let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
-        let r = track_all_simd(&f, &cfg, Region::Interior { margin: 10 }).expect("simd");
-        for (x, y) in r.region.pixels() {
-            assert!(!r.estimates.at(x, y).valid, "({x},{y})");
-        }
-    }
-
-    #[test]
-    fn simd_toggle_off_still_bit_identical() {
-        // SMA_SIMD=off routes the *grid* kernels back to scalar loops;
-        // the driver's own moment path must not care.
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(1.0, 0.0, &cfg);
-        let region = Region::Interior { margin: 10 };
-        sma_grid::simd::set_enabled(false);
-        let off = track_all_simd(&f, &cfg, region).expect("simd off");
-        sma_grid::simd::set_enabled(true);
-        let on = track_all_simd(&f, &cfg, region).expect("simd on");
-        for (x, y) in on.region.pixels() {
-            assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
         }
     }
 }

@@ -10,7 +10,7 @@
 use sma_core::fastpath::track_all_integral;
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::Region;
-use sma_core::{track_all_sequential, track_all_simd, MotionModel, SmaConfig};
+use sma_core::{track_all_pruned, track_all_sequential, MotionModel, SmaConfig};
 use sma_grid::Grid;
 use sma_obs::atlas::{self, AtlasChannel};
 
@@ -40,17 +40,17 @@ fn atlas_planes_match_the_scalar_counters() {
         before.at(xs, y)
     });
 
-    let near_tie0 = counter("fastpath.near_tie_pixels") + counter("simd.near_tie_pixels");
+    let near_tie0 = counter("fastpath.near_tie_pixels") + counter("pruned.near_tie_pixels");
     let border0 =
-        counter("fastpath.border_fallback_pixels") + counter("simd.border_fallback_pixels");
+        counter("fastpath.border_fallback_pixels") + counter("pruned.border_fallback_pixels");
     let interior0 = counter("fastpath.interior_pixels");
-    let simd_interior0 = counter("simd.interior_pixels");
+    let pruned_interior0 = counter("pruned.interior_pixels");
     let quarantined0 = counter("grid.validity.quarantined");
 
     let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
     let seq = track_all_sequential(&frames, &cfg, Region::Full).expect("sequential");
     let fast = track_all_integral(&frames, &cfg, Region::Full).expect("fastpath");
-    let simd = track_all_simd(&frames, &cfg, Region::Full).expect("simd");
+    let pruned = track_all_pruned(&frames, &cfg, Region::Full).expect("pruned");
 
     let snap = atlas::snapshot().expect("armed snapshot");
     atlas::disarm();
@@ -59,9 +59,9 @@ fn atlas_planes_match_the_scalar_counters() {
     // scene (otherwise the cross-check is vacuous) and match the scalar
     // counters exactly.
     let near_tie =
-        counter("fastpath.near_tie_pixels") + counter("simd.near_tie_pixels") - near_tie0;
+        counter("fastpath.near_tie_pixels") + counter("pruned.near_tie_pixels") - near_tie0;
     let border = counter("fastpath.border_fallback_pixels")
-        + counter("simd.border_fallback_pixels")
+        + counter("pruned.border_fallback_pixels")
         - border0;
     assert!(near_tie > 0, "tie scene produced no near-tie re-routes");
     assert!(border > 0, "Region::Full produced no border fallback");
@@ -69,13 +69,13 @@ fn atlas_planes_match_the_scalar_counters() {
     assert_eq!(snap.total(AtlasChannel::BorderFallback), border);
 
     // Dispatch planes: the integral plane counts the scalar fast path's
-    // interior pixels, the SIMD plane its interior pixels, and the exact
+    // interior pixels, the pruned plane its interior pixels, and the exact
     // plane the full sequential sweep plus every re-routed / fallback
     // pixel (dispatch events, not an exclusive partition).
     let interior = counter("fastpath.interior_pixels") - interior0;
-    let simd_interior = counter("simd.interior_pixels") - simd_interior0;
+    let pruned_interior = counter("pruned.interior_pixels") - pruned_interior0;
     assert_eq!(snap.total(AtlasChannel::DispatchIntegral), interior);
-    assert_eq!(snap.total(AtlasChannel::DispatchSimd), simd_interior);
+    assert_eq!(snap.total(AtlasChannel::DispatchPruned), pruned_interior);
     assert_eq!(
         snap.total(AtlasChannel::DispatchExact),
         (SIDE * SIDE) as u64 + near_tie + border
@@ -98,7 +98,7 @@ fn atlas_planes_match_the_scalar_counters() {
         let s = seq.estimates.at(x, y);
         assert_eq!(s.valid, fast.estimates.at(x, y).valid);
         assert_eq!(s.displacement, fast.estimates.at(x, y).displacement);
-        assert_eq!(s.valid, simd.estimates.at(x, y).valid);
-        assert_eq!(s.displacement, simd.estimates.at(x, y).displacement);
+        assert_eq!(s.valid, pruned.estimates.at(x, y).valid);
+        assert_eq!(s.displacement, pruned.estimates.at(x, y).displacement);
     }
 }

@@ -3,13 +3,13 @@
 //! tiles, all-invalid (quarantined) tiles, and tile sizes that do not
 //! divide the frame. The load-bearing claim throughout: planner output
 //! is bit-identical to each tile's chosen driver run over that tile
-//! alone — and, with default knobs, to the SIMD fast path wholesale.
+//! alone — and, with default knobs, to the pruned driver wholesale.
 
 use sma_core::motion::SmaFrames;
-use sma_core::plan::{Driver, ExecutionPlanner, PlanFeedback, PlanReason, PlannerKnobs, Strategy};
+use sma_core::plan::{ExecutionPlanner, PlanFeedback, PlanReason, PlannerKnobs, Strategy};
 use sma_core::sequential::Region;
 use sma_core::{
-    track_all_planner, track_all_planner_with, track_all_sequential, track_all_simd, MotionModel,
+    track_all_planner, track_all_planner_with, track_all_pruned, track_all_sequential, MotionModel,
     SmaConfig, SmaError,
 };
 use sma_grid::Grid;
@@ -62,7 +62,7 @@ fn assert_mosaic_identity(
 }
 
 #[test]
-fn default_knobs_match_simd_bitwise() {
+fn default_knobs_match_pruned_bitwise() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let frames = scene(&cfg);
     for region in [
@@ -72,9 +72,9 @@ fn default_knobs_match_simd_bitwise() {
         },
     ] {
         let planned = track_all_planner(&frames, &cfg, region).expect("planner");
-        let simd = track_all_simd(&frames, &cfg, region).expect("simd");
+        let pruned = track_all_pruned(&frames, &cfg, region).expect("pruned");
         for (x, y) in planned.region.pixels() {
-            let (a, b) = (planned.estimates.at(x, y), simd.estimates.at(x, y));
+            let (a, b) = (planned.estimates.at(x, y), pruned.estimates.at(x, y));
             assert_eq!(a.valid, b.valid);
             assert_eq!(a.displacement, b.displacement, "at ({x},{y})");
             assert_eq!(a.error.to_bits(), b.error.to_bits(), "at ({x},{y})");
@@ -88,11 +88,10 @@ fn one_by_one_tiles_stay_bit_identical() {
     let frames = scene(&cfg);
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 1,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     // Region::Full makes the plan genuinely mixed: border rows of 1x1
-    // tiles go exact, interior ones SIMD.
+    // tiles go exact, interior ones pruned.
     let plan = planner.plan(&frames, &cfg, Region::Full).expect("plan");
     assert_eq!(plan.tiles.len(), SIDE * SIDE, "one tile per pixel");
     assert!(plan.uniform_strategy().is_none(), "plan must be mixed");
@@ -152,17 +151,16 @@ fn all_invalid_tiles_execute_bit_identically() {
     let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 8,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     assert_mosaic_identity(&planner, &frames, &cfg, Region::Full);
-    // And the end result still equals the wholesale SIMD driver.
+    // And the end result still equals the wholesale pruned driver.
     let planned = planner.run(&frames, &cfg, Region::Full).expect("planner");
-    let simd = track_all_simd(&frames, &cfg, Region::Full).expect("simd");
+    let pruned = track_all_pruned(&frames, &cfg, Region::Full).expect("pruned");
     for (x, y) in planned.region.pixels() {
         assert_eq!(
             planned.estimates.at(x, y).error.to_bits(),
-            simd.estimates.at(x, y).error.to_bits()
+            pruned.estimates.at(x, y).error.to_bits()
         );
     }
 }
@@ -174,7 +172,6 @@ fn non_dividing_tile_sizes_cover_the_region_exactly() {
     // 5 does not divide 28: the last row/column of tiles truncates.
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 5,
-        parallel: false,
         ..PlannerKnobs::default()
     });
     let plan = planner.plan(&frames, &cfg, Region::Full).expect("plan");
@@ -238,7 +235,6 @@ fn near_tie_feedback_replans_dense_tiles_onto_the_exact_kernel() {
     };
     let planner = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 7,
-        parallel: false,
         ..PlannerKnobs::default()
     })
     .with_feedback(PlanFeedback::from_snapshot(snapshot));
@@ -269,21 +265,43 @@ fn planner_honors_cancellation_checkpoints() {
 }
 
 #[test]
-fn planner_driver_trait_names_and_census() {
+fn planner_strategy_names_and_census() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let frames = scene(&cfg);
     let planner = ExecutionPlanner::default();
-    assert_eq!(Driver::name(&planner), "planner_auto");
-    assert_eq!(Driver::name(&Strategy::SimdParallel), "simd_par");
+    assert_eq!(Strategy::Pruned.name(), "pruned");
+    assert_eq!(
+        Strategy::IntegralSegmented { z_rows: 2 }.name(),
+        "integral_seg"
+    );
     // Default 16px tiles on a 28^2 frame: every tile overlaps the
-    // interior rect, so the plan is uniform pruned search (the 5 x 5
-    // sweep of small_test clears PRUNE_MIN_HYPOTHESES) — sequential,
-    // because 784 tracked pixels sit far below the row-parallel
-    // cutover.
+    // interior rect, so the plan is uniform pruned search.
     let plan = planner.plan(&frames, &cfg, Region::Full).expect("plan");
     assert_eq!(plan.uniform_strategy(), Some(Strategy::Pruned));
+    // Semi-fluid sweeps and 3 x 3 sweeps plan the pruned driver too: the
+    // driver itself falls back to its raster sweep there.
+    for cfg in [
+        SmaConfig::small_test(MotionModel::SemiFluid),
+        SmaConfig {
+            nzs: 1,
+            ..SmaConfig::small_test(MotionModel::Continuous)
+        },
+    ] {
+        let plan = planner
+            .plan(&scene(&cfg), &cfg, Region::Full)
+            .expect("plan");
+        assert_eq!(plan.uniform_strategy(), Some(Strategy::Pruned), "{cfg:?}");
+    }
+    // With the lane kernels disallowed, interior tiles take the scalar
+    // integral path.
+    let scalar = ExecutionPlanner::with_knobs(PlannerKnobs {
+        allow_simd: false,
+        ..PlannerKnobs::default()
+    });
+    let plan = scalar.plan(&frames, &cfg, Region::Full).expect("plan");
+    assert_eq!(plan.uniform_strategy(), Some(Strategy::Integral));
     // 3px tiles leave whole tiles inside the border band (nzt = 3), so
-    // the census mixes exact border tiles with SIMD interior ones.
+    // the census mixes exact border tiles with pruned interior ones.
     let fine = ExecutionPlanner::with_knobs(PlannerKnobs {
         tile: 3,
         ..PlannerKnobs::default()

@@ -1,10 +1,10 @@
-//! Property equivalence for the pruned-search driver family.
+//! Property equivalence for the pruned-search driver.
 //!
-//! Everything here pins *bit* identity: the pruned drivers reorder the
-//! hypothesis sweep and skip candidates only when an admissible lower
-//! bound proves them outside the near-tie band, so against the SIMD
-//! sweep — and against their own run with the screen disarmed — not one
-//! output bit may move. The corpus leans on the scenes where a wrong
+//! Everything here pins *bit* identity: the pruned driver reorders the
+//! hypothesis sweep and skips candidates only when an admissible lower
+//! bound proves them outside the near-tie band, so against the scalar
+//! integral sweep — and against its own run with the screen disarmed —
+//! not one output bit may move. The corpus leans on the scenes where a wrong
 //! bound or a sloppy tie rule would actually surface:
 //!
 //! * frames whose width is not a multiple of the 8-wide SIMD lane (the
@@ -22,8 +22,7 @@
 use proptest::prelude::*;
 use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_integral, track_all_pruned, track_all_pruned_parallel, track_all_simd,
-    MotionEstimate, MotionModel, SmaConfig, SmaFrames,
+    track_all_integral, track_all_pruned, MotionEstimate, MotionModel, SmaConfig, SmaFrames,
 };
 use sma_grid::warp::translate;
 use sma_grid::{BorderPolicy, Grid};
@@ -53,22 +52,16 @@ fn shifted(before: &Grid<f32>, dx: f32, dy: f32, cfg: &SmaConfig) -> SmaFrames {
     SmaFrames::prepare(before, &after, before, &after, cfg).expect("prepare")
 }
 
-/// Asserts pruned (sequential and parallel) match the SIMD sweep on
-/// every pixel of `region`, to the bit.
-fn assert_matches_simd(f: &SmaFrames, cfg: &SmaConfig, region: Region, tag: &str) {
-    let simd = track_all_simd(f, cfg, region).expect("simd");
-    let seq = track_all_pruned(f, cfg, region).expect("pruned");
-    let par = track_all_pruned_parallel(f, cfg, region).expect("pruned par");
-    for (x, y) in simd.region.pixels() {
+/// Asserts pruned matches the scalar integral sweep on every pixel of
+/// `region`, to the bit.
+fn assert_matches_integral(f: &SmaFrames, cfg: &SmaConfig, region: Region, tag: &str) {
+    let integral = track_all_integral(f, cfg, region).expect("integral");
+    let pruned = track_all_pruned(f, cfg, region).expect("pruned");
+    for (x, y) in integral.region.pixels() {
         assert_eq!(
-            simd.estimates.at(x, y),
-            seq.estimates.at(x, y),
-            "{tag}: pruned seq diverged at ({x},{y})"
-        );
-        assert_eq!(
-            simd.estimates.at(x, y),
-            par.estimates.at(x, y),
-            "{tag}: pruned par diverged at ({x},{y})"
+            integral.estimates.at(x, y),
+            pruned.estimates.at(x, y),
+            "{tag}: pruned diverged at ({x},{y})"
         );
     }
 }
@@ -98,7 +91,7 @@ proptest! {
     /// the 8-lane boundary (the 25..41 range covers every residue mod
     /// 8), sub-pixel shifts, full region including the border ring.
     #[test]
-    fn pruned_matches_simd_on_random_scenes(
+    fn pruned_matches_integral_on_random_scenes(
         w in 25usize..41,
         h in 24usize..34,
         seed in 0u64..1000,
@@ -109,7 +102,7 @@ proptest! {
         let model = if semi == 1 { MotionModel::SemiFluid } else { MotionModel::Continuous };
         let cfg = SmaConfig::small_test(model);
         let f = shifted(&textured(w, h, seed), dxq as f32 * 0.5, dyq as f32 * 0.5, &cfg);
-        assert_matches_simd(&f, &cfg, Region::Full, "random scene");
+        assert_matches_integral(&f, &cfg, Region::Full, "random scene");
     }
 
     /// The same randomized corpus, pinned against the disarmed screen:
@@ -133,23 +126,23 @@ proptest! {
 /// the pruned driver's exact-fallback ring carries every pixel and the
 /// screen never sees a candidate.
 #[test]
-fn all_border_tile_matches_simd() {
+fn all_border_tile_matches_integral() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let f = shifted(&textured(13, 13, 7), 1.0, 0.0, &cfg);
-    assert_matches_simd(&f, &cfg, Region::Full, "all-border tile");
+    assert_matches_integral(&f, &cfg, Region::Full, "all-border tile");
     assert_toggle_identity(&f, &cfg, Region::Full, "all-border tile");
 }
 
 /// Zero-variance windows everywhere: every per-pixel system is
 /// singular, the screen is unscreenable (no finite bound exists), and
 /// every hypothesis must still be evaluated and rejected exactly as the
-/// SIMD sweep rejects it.
+/// integral sweep rejects it.
 #[test]
-fn zero_variance_windows_match_simd() {
+fn zero_variance_windows_match_integral() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let flat = Grid::filled(28, 28, 2.5f32);
     let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
-    assert_matches_simd(&f, &cfg, Region::Full, "flat scene");
+    assert_matches_integral(&f, &cfg, Region::Full, "flat scene");
     assert_toggle_identity(&f, &cfg, Region::Full, "flat scene");
 }
 
@@ -159,13 +152,13 @@ fn zero_variance_windows_match_simd() {
 /// winner, well inside the near-tie band) and the seed-first sweep
 /// must crown the same winner raster order would.
 #[test]
-fn periodic_near_ties_match_simd() {
+fn periodic_near_ties_match_integral() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let before = Grid::from_fn(32, 32, |x, y| {
         (std::f32::consts::PI * x as f32).cos() * 2.0 + y as f32 * 0.05
     });
     let f = shifted(&before, 1.0, 0.0, &cfg);
-    assert_matches_simd(&f, &cfg, Region::Full, "period-2 scene");
+    assert_matches_integral(&f, &cfg, Region::Full, "period-2 scene");
     assert_toggle_identity(&f, &cfg, Region::Full, "period-2 scene");
 }
 
@@ -173,7 +166,7 @@ fn periodic_near_ties_match_simd() {
 /// into a tie-heavy scene, so skip decisions, singular fallbacks and
 /// the sweep's visit order all fire within one run.
 #[test]
-fn mixed_ties_and_flat_stripe_match_simd() {
+fn mixed_ties_and_flat_stripe_match_integral() {
     let cfg = SmaConfig::small_test(MotionModel::Continuous);
     let before = Grid::from_fn(33, 31, |x, y| {
         if (12..16).contains(&y) {
@@ -183,7 +176,7 @@ fn mixed_ties_and_flat_stripe_match_simd() {
         }
     });
     let f = shifted(&before, -1.0, 1.0, &cfg);
-    assert_matches_simd(&f, &cfg, Region::Full, "mixed scene");
+    assert_matches_integral(&f, &cfg, Region::Full, "mixed scene");
     assert_toggle_identity(&f, &cfg, Region::Full, "mixed scene");
 }
 
@@ -222,9 +215,8 @@ fn assert_bits_equal(want: &SmaResult, got: &SmaResult, tag: &str) {
 }
 
 /// The first two pairs of `seq` at the paper's windows, interior region:
-/// pruned sequential and parallel must equal the SIMD and the scalar
-/// integral sweeps bit for bit, and the screen toggle must not move a
-/// bit either.
+/// pruned must equal the scalar integral sweep bit for bit with the
+/// screen armed and disarmed.
 fn assert_paper_windows(seq: &SceneSequence, cfg: &SmaConfig, tag: &str) {
     let region = Region::Interior {
         margin: cfg.margin(),
@@ -238,42 +230,33 @@ fn assert_paper_windows(seq: &SceneSequence, cfg: &SmaConfig, tag: &str) {
             cfg,
         )
         .expect("prepare");
-        let simd = track_all_simd(&f, cfg, region).expect("simd");
         let integral = track_all_integral(&f, cfg, region).expect("integral");
-        assert_bits_equal(
-            &integral,
-            &simd,
-            &format!("{tag} pair {t}: simd vs integral"),
-        );
         let _guard = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         sma_grid::prune::set_enabled(true);
-        let seq_on = track_all_pruned(&f, cfg, region).expect("pruned");
-        let par_on = track_all_pruned_parallel(&f, cfg, region).expect("pruned par");
+        let on = track_all_pruned(&f, cfg, region).expect("pruned");
         sma_grid::prune::set_enabled(false);
-        let seq_off = track_all_pruned(&f, cfg, region).expect("pruned off");
+        let off = track_all_pruned(&f, cfg, region).expect("pruned off");
         sma_grid::prune::set_enabled(true);
-        for (got, which) in [(&seq_on, "pruned seq"), (&par_on, "pruned par")] {
-            assert_bits_equal(&simd, got, &format!("{tag} pair {t}: {which} vs simd"));
+        for (got, which) in [(&on, "pruned"), (&off, "pruned, screen off")] {
             assert_bits_equal(
                 &integral,
                 got,
                 &format!("{tag} pair {t}: {which} vs integral"),
             );
         }
-        assert_bits_equal(&seq_on, &seq_off, &format!("{tag} pair {t}: screen toggle"));
     }
 }
 
 /// GOES-9 Florida at the paper's 15 x 15 search and template.
 #[test]
-fn florida_paper_windows_match_simd_and_integral() {
+fn florida_paper_windows_match_integral() {
     let cfg = SmaConfig::goes9_florida();
     assert_paper_windows(&florida_thunderstorm_analog(64, 3, 11), &cfg, "florida");
 }
 
 /// Hurricane Luis at the paper's 9 x 9 search, 11 x 11 template.
 #[test]
-fn luis_paper_windows_match_simd_and_integral() {
+fn luis_paper_windows_match_integral() {
     let cfg = SmaConfig::hurricane_luis();
     assert_paper_windows(&hurricane_luis_analog(64, 3, 12), &cfg, "luis");
 }

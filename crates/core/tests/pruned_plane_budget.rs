@@ -1,18 +1,59 @@
-//! The pruned driver's build invariant on the paper's windows: one call
-//! builds each hypothesis offset's moment plane at most once, so
-//! `pruned.offset_planes_built` never exceeds `(2 Nzs + 1)^2` per call,
-//! while the screen still skips candidates.
+//! The pruned driver's build invariant and screen cutover, read off the
+//! obs counters.
 //!
-//! The obs counters are process-global, so this check lives in a test
-//! binary of its own with a single test: no concurrently running test
-//! can add to the counters between the two snapshots.
+//! * On the paper's windows one call builds each hypothesis offset's
+//!   moment plane at most once, so `pruned.offset_planes_built` never
+//!   exceeds `(2 Nzs + 1)^2` per call, while the screen still skips
+//!   candidates.
+//! * The driver owns the decision to screen: below
+//!   [`PRUNE_MIN_HYPOTHESES`] (a 3 x 3 sweep) it runs the raster sweep,
+//!   skipping nothing and building every plane; at 5 x 5 the screen
+//!   arms. Output is bit-identical to the integral path either way.
+//!
+//! The obs counters are process-global, so these checks live in a test
+//! binary of their own and serialize on one lock: no concurrently
+//! running test can add to the counters between two snapshots.
 
-use sma_core::sequential::Region;
-use sma_core::{track_all_pruned, track_all_pruned_parallel, SmaConfig, SmaFrames};
-use sma_satdata::{florida_thunderstorm_analog, hurricane_luis_analog};
+use std::sync::Mutex;
+
+use sma_core::pruned::PRUNE_MIN_HYPOTHESES;
+use sma_core::sequential::{Region, SmaResult};
+use sma_core::{track_all_integral, track_all_pruned, SmaConfig, SmaFrames};
+use sma_satdata::{florida_thunderstorm_analog, hurricane_luis_analog, SceneSequence};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn counter(name: &str) -> u64 {
+    sma_obs::metrics::snapshot().counter(name)
+}
+
+fn pair(seq: &SceneSequence, t: usize, cfg: &SmaConfig) -> SmaFrames {
+    SmaFrames::prepare(
+        &seq.frames[t].intensity,
+        &seq.frames[t + 1].intensity,
+        seq.surface(t),
+        seq.surface(t + 1),
+        cfg,
+    )
+    .expect("prepare")
+}
+
+/// One pruned call's result with its `(planes built, candidates
+/// skipped)`.
+fn pruned_counts(f: &SmaFrames, cfg: &SmaConfig, region: Region) -> (SmaResult, u64, u64) {
+    let planes0 = counter("pruned.offset_planes_built");
+    let skipped0 = counter("prune.candidates_skipped");
+    let result = track_all_pruned(f, cfg, region).expect("pruned");
+    (
+        result,
+        counter("pruned.offset_planes_built") - planes0,
+        counter("prune.candidates_skipped") - skipped0,
+    )
+}
 
 #[test]
 fn each_offset_plane_is_built_at_most_once_per_call() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     sma_obs::set_level(sma_obs::ObsLevel::Summary);
     sma_grid::prune::set_enabled(true);
     let scenes = [
@@ -33,34 +74,53 @@ fn each_offset_plane_is_built_at_most_once_per_call() {
             margin: cfg.margin(),
         };
         for t in 0..2 {
-            let f = SmaFrames::prepare(
-                &seq.frames[t].intensity,
-                &seq.frames[t + 1].intensity,
-                seq.surface(t),
-                seq.surface(t + 1),
-                cfg,
-            )
-            .expect("prepare");
-            for parallel in [false, true] {
-                let counter = |name: &str| sma_obs::metrics::snapshot().counter(name);
-                let planes0 = counter("pruned.offset_planes_built");
-                let skipped0 = counter("prune.candidates_skipped");
-                if parallel {
-                    track_all_pruned_parallel(&f, cfg, region).expect("pruned par");
-                } else {
-                    track_all_pruned(&f, cfg, region).expect("pruned");
-                }
-                let planes = counter("pruned.offset_planes_built") - planes0;
-                let skipped = counter("prune.candidates_skipped") - skipped0;
-                let what = format!("{tag} pair {t} parallel={parallel}");
-                assert!(planes >= 1, "{what}: no plane built");
-                assert!(
-                    planes <= side * side,
-                    "{what}: {planes} planes built for {} offsets",
-                    side * side
-                );
-                assert!(skipped > 0, "{what}: the screen skipped nothing");
-            }
+            let f = pair(seq, t, cfg);
+            let (_, planes, skipped) = pruned_counts(&f, cfg, region);
+            let what = format!("{tag} pair {t}");
+            assert!(planes >= 1, "{what}: no plane built");
+            assert!(
+                planes <= side * side,
+                "{what}: {planes} planes built for {} offsets",
+                side * side
+            );
+            assert!(skipped > 0, "{what}: the screen skipped nothing");
         }
+    }
+}
+
+#[test]
+fn screen_arms_at_the_hypothesis_cutover() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    sma_obs::set_level(sma_obs::ObsLevel::Summary);
+    sma_grid::prune::set_enabled(true);
+    let seq = hurricane_luis_analog(64, 3, 12);
+    for nzs in [1usize, 2] {
+        let cfg = SmaConfig {
+            nzs,
+            ..SmaConfig::hurricane_luis()
+        };
+        let hypotheses = (2 * nzs + 1) * (2 * nzs + 1);
+        let region = Region::Interior {
+            margin: cfg.margin(),
+        };
+        let f = pair(&seq, 0, &cfg);
+        let (pruned, planes, skipped) = pruned_counts(&f, &cfg, region);
+        if hypotheses < PRUNE_MIN_HYPOTHESES {
+            assert_eq!(skipped, 0, "{hypotheses} hypotheses: the screen armed");
+            assert_eq!(
+                planes, hypotheses as u64,
+                "{hypotheses} hypotheses: the raster sweep builds every plane"
+            );
+        } else {
+            assert!(
+                skipped > 0,
+                "{hypotheses} hypotheses: the screen skipped nothing"
+            );
+        }
+        let integral = track_all_integral(&f, &cfg, region).expect("integral");
+        assert_eq!(
+            pruned.estimates, integral.estimates,
+            "{hypotheses} hypotheses: pruned vs integral"
+        );
     }
 }

@@ -1,9 +1,9 @@
 //! Property equivalence: the core crate's SIMD-gated kernels and the
-//! SIMD drivers against their scalar references.
+//! lane-kernel (pruned) driver against their scalar references.
 //!
 //! Everything here pins *bit* identity: the lane kernels reorder only
 //! independent work, never an accumulation, so toggling them may not
-//! move one output bit — and the SIMD drivers must agree with the
+//! move one output bit — and the pruned driver must agree with the
 //! scalar fast path exactly on every randomized scene, border pixels
 //! and near-ties included.
 
@@ -12,7 +12,7 @@ use sma_core::ext::regularize::fill_invalid;
 use sma_core::fastpath::track_all_integral;
 use sma_core::sequential::{track_all_sequential, Region};
 use sma_core::template_map::discriminant_match_score;
-use sma_core::{track_all_simd, MotionModel, SmaConfig, SmaFrames};
+use sma_core::{track_all_pruned, MotionModel, SmaConfig, SmaFrames};
 use sma_grid::flow::{FlowField, Vec2};
 use sma_grid::warp::translate;
 use sma_grid::{simd, BorderPolicy, Grid};
@@ -110,11 +110,12 @@ proptest! {
         prop_assert_eq!(a.estimates, b.estimates);
     }
 
-    /// The SIMD driver is bit-identical to the scalar integral fast path
-    /// on randomized scenes over the full frame (borders run the exact
-    /// kernel in both, near-ties re-route through the shared predicate).
+    /// The pruned driver, on the lane kernels, is bit-identical to the
+    /// scalar integral fast path on randomized scenes over the full
+    /// frame (borders run the exact kernel in both, near-ties re-route
+    /// through the shared predicate).
     #[test]
-    fn simd_driver_matches_integral_bitwise(
+    fn pruned_driver_matches_integral_bitwise(
         seed in 0u64..100,
         dx in -1isize..=1,
         dy in -1isize..=1,
@@ -126,7 +127,7 @@ proptest! {
         let frames =
             SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
         let integral = track_all_integral(&frames, &cfg, Region::Full).expect("integral");
-        let simd = track_all_simd(&frames, &cfg, Region::Full).expect("simd");
-        prop_assert_eq!(integral.estimates, simd.estimates);
+        let pruned = track_all_pruned(&frames, &cfg, Region::Full).expect("pruned");
+        prop_assert_eq!(integral.estimates, pruned.estimates);
     }
 }

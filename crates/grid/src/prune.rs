@@ -20,9 +20,9 @@
 //!   bound a candidate's full 6-parameter minimum from below.
 //!
 //! The runtime toggle (`SMA_PRUNE=off`, or [`set_enabled`]) disarms the
-//! screen; the pruned drivers then degrade to a plain raster sweep that
-//! is structurally the SIMD driver's loop. The equivalence tests replay
-//! scenes under both settings and assert that not one output bit moves.
+//! screen; the pruned driver then runs a plain raster sweep over every
+//! hypothesis offset. The equivalence tests replay scenes under both
+//! settings and assert that not one output bit moves.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 

@@ -40,8 +40,6 @@ pub enum AtlasChannel {
     DispatchExact,
     /// Pixels served by the scalar moment-plane (integral) fast path.
     DispatchIntegral,
-    /// Pixels served by the SIMD lane-kernel fast path.
-    DispatchSimd,
     /// Pixels served by the pruned-search (bound-screened) fast path.
     DispatchPruned,
     /// Border pixels the fast paths handed back to the exact kernel.
@@ -55,10 +53,9 @@ pub enum AtlasChannel {
 
 impl AtlasChannel {
     /// Every channel, in export order.
-    pub const ALL: [AtlasChannel; 7] = [
+    pub const ALL: [AtlasChannel; 6] = [
         AtlasChannel::DispatchExact,
         AtlasChannel::DispatchIntegral,
-        AtlasChannel::DispatchSimd,
         AtlasChannel::DispatchPruned,
         AtlasChannel::BorderFallback,
         AtlasChannel::NearTie,
@@ -70,7 +67,6 @@ impl AtlasChannel {
         match self {
             AtlasChannel::DispatchExact => "dispatch_exact",
             AtlasChannel::DispatchIntegral => "dispatch_integral",
-            AtlasChannel::DispatchSimd => "dispatch_simd",
             AtlasChannel::DispatchPruned => "dispatch_pruned",
             AtlasChannel::BorderFallback => "border_fallback",
             AtlasChannel::NearTie => "near_tie",
@@ -82,11 +78,10 @@ impl AtlasChannel {
         match self {
             AtlasChannel::DispatchExact => 0,
             AtlasChannel::DispatchIntegral => 1,
-            AtlasChannel::DispatchSimd => 2,
-            AtlasChannel::DispatchPruned => 3,
-            AtlasChannel::BorderFallback => 4,
-            AtlasChannel::NearTie => 5,
-            AtlasChannel::Quarantine => 6,
+            AtlasChannel::DispatchPruned => 2,
+            AtlasChannel::BorderFallback => 3,
+            AtlasChannel::NearTie => 4,
+            AtlasChannel::Quarantine => 5,
         }
     }
 }

@@ -27,7 +27,7 @@
 //!   trace-event / Perfetto JSON (`SMA_TRACE=out.json`) with per-stage
 //!   p50/p95/p99 latency built on the histogram buckets.
 //! * **Telemetry atlas** ([`atlas`]): per-tile spatial planes (near-tie
-//!   density, border fallback, exact/integral/SIMD dispatch, quarantine
+//!   density, border fallback, exact/integral/pruned dispatch, quarantine
 //!   sites, per-frame cache hit/miss) feeding the adaptive-planner cost
 //!   model and the `trace_report` heatmaps.
 //!

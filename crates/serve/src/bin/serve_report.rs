@@ -25,7 +25,7 @@
 use std::time::Instant;
 
 use sma_core::sequential::{Region, SmaResult};
-use sma_core::{track_all_simd, MotionModel, SmaConfig};
+use sma_core::{track_all_pruned, MotionModel, SmaConfig};
 use sma_obs::json::MetricsDoc;
 use sma_satdata::{florida_thunderstorm_analog, SceneSequence};
 use sma_serve::{PairStatus, ServeConfig, ServeOutcome, SmaService, TenantSeq};
@@ -104,7 +104,7 @@ impl Fleet {
         let mut engine = StreamEngine::new(sequence_frames(&self.sequences[i]), cfg, shard_bytes)
             .with_pipelining(false);
         engine
-            .run(|_, frames| track_all_simd(frames, &cfg, region))
+            .run(|_, frames| track_all_pruned(frames, &cfg, region))
             .expect("solo replay")
     }
 }

@@ -1,8 +1,8 @@
 //! The load-shedding degrade ladder.
 //!
 //! A saturated tenant's frames step down the ladder before any frame is
-//! dropped: the SIMD lane kernels first give way to the integral fast
-//! path (bit-identical output, less lane bookkeeping, same memory),
+//! dropped: the pruned driver's SIMD lane kernels first give way to the
+//! integral fast path (bit-identical output, less lane bookkeeping),
 //! then to the translation-only Fcont driver (a strict subset of the
 //! hypothesis space — cheaper by the affine-refinement factor,
 //! comparable but not bit-identical output). Only past the bottom rung
@@ -10,7 +10,7 @@
 //!
 //! Since the adaptive planner landed, a rung no longer hand-picks a
 //! driver enum: each level maps to a set of [`PlannerKnobs`] (top rung
-//! allows the SIMD family, one down forbids it, the bottom forces
+//! allows the SIMD lane kernels, one down forbids them, the bottom forces
 //! translation-only) and every attempt goes through
 //! [`sma_core::plan::track_all_planner_with`]. The planner resolves
 //! those knobs to the same drivers the ladder used to call directly, so
@@ -31,10 +31,11 @@ use sma_core::{PlannerKnobs, SmaConfig, SmaError, SmaFrames};
 /// One rung of the degrade ladder, top first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeLevel {
-    /// Full-speed SIMD lane kernels ([`sma_core::track_all_simd`]).
+    /// Full-speed SIMD lane kernels: the pruned driver
+    /// ([`sma_core::track_all_pruned`]).
     Simd,
     /// Integral-image fast path ([`sma_core::track_all_integral`]) —
-    /// bit-identical to SIMD, cheaper per hypothesis.
+    /// bit-identical to the top rung, no lane kernels.
     Integral,
     /// Translation-only Fcont ([`sma_core::track_all_translation_only`])
     /// — the shedding fallback; comparable, not bit-identical.
@@ -69,15 +70,9 @@ impl DegradeLevel {
         }
     }
 
-    /// The planner knobs this rung targets. Worker threads run one pair
-    /// each, so every rung plans the sequential (non-Rayon) variants —
-    /// the same drivers the ladder called directly before the planner
-    /// existed, keeping per-rung output bits unchanged.
+    /// The planner knobs this rung targets.
     pub fn knobs(self) -> PlannerKnobs {
-        let base = PlannerKnobs {
-            parallel: false,
-            ..PlannerKnobs::default()
-        };
+        let base = PlannerKnobs::default();
         match self {
             DegradeLevel::Simd => base,
             DegradeLevel::Integral => PlannerKnobs {
@@ -169,14 +164,12 @@ mod tests {
 
     #[test]
     fn rungs_map_to_planner_knobs() {
-        // Top rung: SIMD family allowed, sequential execution.
+        // Top rung: SIMD lane kernels allowed.
         let top = DegradeLevel::Simd.knobs();
-        assert!(top.allow_simd && top.allow_integral);
-        assert!(!top.translation_only && !top.parallel);
-        // One down: SIMD forbidden, integral family still allowed.
+        assert!(top.allow_simd && !top.translation_only);
+        // One down: lane kernels forbidden, so the integral path plans.
         let mid = DegradeLevel::Integral.knobs();
-        assert!(!mid.allow_simd && mid.allow_integral);
-        assert!(!mid.translation_only);
+        assert!(!mid.allow_simd && !mid.translation_only);
         // Bottom: translation-only shedding mode.
         assert!(DegradeLevel::TranslationOnly.knobs().translation_only);
     }

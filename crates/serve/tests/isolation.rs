@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use sma_core::sequential::Region;
-use sma_core::{track_all_simd, MotionModel, SmaConfig};
+use sma_core::{track_all_pruned, MotionModel, SmaConfig};
 use sma_satdata::florida_thunderstorm_analog;
 use sma_serve::{PairStatus, ServeConfig, SmaService, TenantSeq};
 use sma_stream::{FrameSource, StreamEngine};
@@ -111,7 +111,7 @@ fn tenants_bit_identical_to_solo_replay_under_armed_fault_storm() {
         };
         let mut engine = StreamEngine::new(frames, cfg, shard_bytes).with_pipelining(false);
         let solo = engine
-            .run(|_, pair| track_all_simd(pair, &cfg, region))
+            .run(|_, pair| track_all_pruned(pair, &cfg, region))
             .expect("solo replay");
         let report = &out.tenants[i];
         assert_eq!(report.results.len(), solo.len());

@@ -4,20 +4,17 @@
 //! pipelining are *pure plumbing*: for every driver, running over
 //! engine-assembled pairs produces bit-for-bit the same estimates as
 //! the naive per-pair [`SmaFrames::prepare`]. These tests replay a
-//! 6-frame Florida-analog sequence through all nine drivers, force
+//! 6-frame Florida-analog sequence through every static driver, force
 //! eviction-induced recomputes, and toggle observability — none of it
 //! may move a single output bit.
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
-use sma_core::fastpath::{
-    track_all_integral, track_all_integral_parallel, track_all_integral_segmented,
-};
+use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::{Region, SmaResult};
 use sma_core::{
-    track_all_parallel, track_all_sequential, track_all_simd, track_all_simd_parallel, MotionModel,
-    SmaConfig, SmaError, SmaFrames,
+    track_all_pruned, track_all_sequential, MotionModel, SmaConfig, SmaError, SmaFrames,
 };
 use sma_satdata::{florida_thunderstorm_analog, SceneSequence};
 use sma_stream::{goddard_cache_budget, sequence_frames, StreamEngine};
@@ -26,18 +23,14 @@ use sma_stream::{goddard_cache_budget, sequence_frames, StreamEngine};
 /// multi-segment checkpointing at the test windows).
 const SEGMENT_Z_ROWS: usize = 2;
 
-/// The SmaFrames-consuming drivers (eight of the nine; the MasPar
-/// driver prepares internally from raw planes and is covered
-/// separately).
-const FRAME_DRIVERS: [&str; 8] = [
+/// The SmaFrames-consuming static drivers (the MasPar driver prepares
+/// internally from raw planes and is covered separately).
+const FRAME_DRIVERS: [&str; 5] = [
     "sequential",
-    "parallel",
     "segmented",
     "fastpath",
-    "fastpath_par",
     "fastpath_seg",
-    "fastpath_simd_seq",
-    "fastpath_simd_par",
+    "fastpath_pruned",
 ];
 
 fn run_driver(
@@ -48,13 +41,10 @@ fn run_driver(
 ) -> Result<SmaResult, SmaError> {
     match name {
         "sequential" => track_all_sequential(frames, cfg, region),
-        "parallel" => track_all_parallel(frames, cfg, region),
         "segmented" => track_all_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
         "fastpath" => track_all_integral(frames, cfg, region),
-        "fastpath_par" => track_all_integral_parallel(frames, cfg, region),
         "fastpath_seg" => track_all_integral_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
-        "fastpath_simd_seq" => track_all_simd(frames, cfg, region),
-        "fastpath_simd_par" => track_all_simd_parallel(frames, cfg, region),
+        "fastpath_pruned" => track_all_pruned(frames, cfg, region),
         other => panic!("unknown driver {other}"),
     }
 }

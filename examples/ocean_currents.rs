@@ -14,7 +14,7 @@
 use sma::core::analysis::vorticity_plane;
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::io::ascii_quiver;
 use sma::satdata::ocean::{ocean_current_analog, EddyField};
 
@@ -40,7 +40,7 @@ fn main() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     let flow = result.flow();
     let pts: Vec<(usize, usize)> = result.region.pixels().collect();
     let stats = flow.compare_at(&seq.truth_flows[0], &pts);

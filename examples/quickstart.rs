@@ -8,7 +8,7 @@
 
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::io::ascii_quiver;
 use sma::satdata::hurricane_luis_analog;
 use sma::satdata::tracers::{pick_tracers, tracer_points};
@@ -37,7 +37,7 @@ fn main() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     println!(
         "tracked {} pixels, {:.1}% valid, mean error {:.4}",
         result.region.area(),

@@ -8,7 +8,7 @@
 
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::io::{ascii_quiver, write_pgm};
 use sma::satdata::florida_thunderstorm_analog;
 
@@ -48,7 +48,8 @@ fn main() {
             &cfg,
         )
         .expect("prepare");
-        let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+        let result =
+            track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
         let flow = result.flow();
         let pts: Vec<(usize, usize)> = result.region.pixels().collect();
         let stats = flow.compare_at(&seq.truth_flows[t], &pts);

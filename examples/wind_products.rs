@@ -14,7 +14,7 @@
 use sma::core::analysis::{divergence_plane, vorticity_plane, wind_layers, WindScaling};
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::Vec2;
 use sma::satdata::layers::{CloudLayer, LayeredScene};
 
@@ -50,7 +50,7 @@ fn main() {
     };
     let frames = SmaFrames::prepare(&i0, &i1, &h0, &h1, &cfg).expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     println!(
         "tracked {} px, {:.1}% valid\n",
         result.region.area(),

@@ -14,7 +14,7 @@ use std::process::ExitCode;
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
 use sma::core::timing::{Mp2Rates, SgiRates, SmaWorkload};
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::io::{ascii_quiver, write_csv, write_pgm};
 use sma::satdata::ocean::{ocean_current_analog, sea_ice_analog};
 use sma::satdata::{
@@ -162,7 +162,7 @@ fn cmd_track(args: &[String], opts: &HashMap<String, String>) -> Result<(), Stri
             2 * margin + 2
         ));
     }
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin })
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin })
         .map_err(|e| e.to_string())?;
     let flow = result.flow();
     let pts: Vec<(usize, usize)> = result.region.pixels().collect();

@@ -4,7 +4,7 @@
 
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::satdata::{florida_thunderstorm_analog, hurricane_luis_analog};
 
 #[test]
@@ -20,7 +20,7 @@ fn luis_analog_dense_subpixel() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     assert!(result.valid_fraction() > 0.95);
     let pts: Vec<(usize, usize)> = result.region.pixels().collect();
     let stats = result.flow().compare_at(&seq.truth_flows[0], &pts);
@@ -54,7 +54,8 @@ fn florida_analog_tracks_multiple_timesteps() {
             &cfg,
         )
         .expect("prepare");
-        let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+        let result =
+            track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
         let pts: Vec<(usize, usize)> = result.region.pixels().collect();
         let stats = result.flow().compare_at(&seq.truth_flows[t], &pts);
         assert!(
@@ -90,7 +91,8 @@ fn semifluid_beats_continuous_on_multilayer_decks() {
         let cfg = SmaConfig::small_test(model);
         let frames = SmaFrames::prepare(&i0, &i1, &h0, &h1, &cfg).expect("prepare");
         let margin = cfg.margin() + 2;
-        let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+        let result =
+            track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
         let pts: Vec<(usize, usize)> = result
             .region
             .pixels()

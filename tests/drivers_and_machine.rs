@@ -1,6 +1,7 @@
 //! Cross-crate driver equivalence and machine-level checks on satellite
-//! analog data: sequential == parallel == segmented == MasPar, plus the
-//! ledger/memory behavior of the machine run.
+//! analog data: sequential == segmented == MasPar (the paper's §5.1
+//! claim, carried by the simulated MP-2 driver), plus the ledger/memory
+//! behavior of the machine run.
 
 use sma::core::maspar_driver::track_on_maspar;
 use sma::core::motion::SmaFrames;
@@ -24,7 +25,7 @@ fn scene_frames(cfg: &SmaConfig) -> (sma::satdata::SceneSequence, SmaFrames) {
 }
 
 #[test]
-fn all_four_drivers_agree() {
+fn all_exact_drivers_agree() {
     let cfg = SmaConfig::small_test(MotionModel::SemiFluid);
     let (seq_data, frames) = scene_frames(&cfg);
     let region = Region::Interior {
@@ -32,7 +33,6 @@ fn all_four_drivers_agree() {
     };
 
     let reference = track_all_sequential(&frames, &cfg, region).expect("track");
-    let parallel = sma::core::track_all_parallel(&frames, &cfg, region).expect("track");
     let segmented = track_all_segmented(&frames, &cfg, region, 2).expect("track");
 
     let mut machine = MasPar::new(MachineConfig {
@@ -54,11 +54,6 @@ fn all_four_drivers_agree() {
 
     for (x, y) in reference.region.pixels() {
         let r = reference.estimates.at(x, y);
-        assert_eq!(
-            r,
-            parallel.estimates.at(x, y),
-            "parallel differs at ({x},{y})"
-        );
         assert_eq!(
             r,
             segmented.estimates.at(x, y),

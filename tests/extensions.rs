@@ -5,7 +5,7 @@ use sma::core::ext::hierarchy::track_hierarchical;
 use sma::core::ext::regularize::{fill_invalid, vector_median_filter};
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::grid::{Grid, Vec2};
 use sma::satdata::hurricane_luis_analog;
 use sma::stereo::coupled::{refine_disparity_with_motion, temporal_consistency};
@@ -63,7 +63,7 @@ fn median_filter_cleans_sma_output() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     let mut flow = result.flow();
     // Inject impulse outliers, then clean.
     for k in 0..6 {
@@ -96,7 +96,7 @@ fn fill_invalid_completes_dense_field() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     let valid = result.estimates.map(|e| e.valid);
     let (filled, ok) = fill_invalid(&result.flow(), &valid, 64);
     // The whole frame (including margins) becomes valid.

@@ -4,7 +4,7 @@
 use sma::core::ext::classify::{classify_and_clean, classify_by_height};
 use sma::core::motion::SmaFrames;
 use sma::core::sequential::Region;
-use sma::core::{track_all_parallel, MotionModel, SmaConfig};
+use sma::core::{track_all_sequential, MotionModel, SmaConfig};
 use sma::satdata::ocean::{ocean_current_analog, sea_ice_analog, IceField};
 
 #[test]
@@ -20,7 +20,7 @@ fn ocean_eddies_track_subpixel() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     assert!(result.valid_fraction() > 0.95);
     let pts: Vec<(usize, usize)> = result.region.pixels().collect();
     let stats = result.flow().compare_at(&seq.truth_flows[0], &pts);
@@ -47,7 +47,7 @@ fn sea_ice_floes_track_with_semifluid() {
     )
     .expect("prepare");
     let margin = cfg.margin() + 2;
-    let result = track_all_parallel(&frames, &cfg, Region::Interior { margin }).expect("track");
+    let result = track_all_sequential(&frames, &cfg, Region::Interior { margin }).expect("track");
     let truth = &seq.truth_flows[0];
     // Score well inside floes (margin from floe edges: truth is nonzero
     // and the pixel stays on the same floe through the step).

@@ -822,6 +822,8 @@ mod tests {
 
     #[test]
     fn flat_surface_untrackable_in_fastpath() {
+        // Armed faults would swap the invalid result for a fallback.
+        let _faults = sma_fault::exclusive();
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let flat = Grid::filled(30, 30, 1.0f32);
         let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");

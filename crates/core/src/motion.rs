@@ -716,6 +716,8 @@ mod tests {
 
     #[test]
     fn flat_surface_is_untrackable() {
+        // Armed faults would swap the invalid result for a fallback.
+        let _faults = sma_fault::exclusive();
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let flat = Grid::filled(32, 32, 1.0f32);
         let frames = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");

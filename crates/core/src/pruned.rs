@@ -1,13 +1,14 @@
 //! The pruned-search fastpath driver — the production matcher: a
 //! coarse-lattice screen plus admissible early termination in one
-//! seed-first sweep over a single resident offset plane, on the
-//! [`crate::simd`] lane kernels, bit-identical to the integral block.
+//! seed-first sweep, split into row bands that run on the free CPUs, each
+//! over a single resident offset plane, on the [`crate::simd`] lane
+//! kernels, bit-identical to the integral block.
 //!
 //! An exhaustive sweep evaluates every pixel against every
 //! hypothesis offset — `(2 Nzs + 1)^2` O(1) moment evaluations per
 //! pixel, plus one full 8-channel offset SAT *build* per offset. This
 //! driver cuts the evaluations in three moves and keeps the moment store
-//! at one plane:
+//! at one plane per band:
 //!
 //! 1. **Coarse screening bound.** For each candidate `(pixel, offset)`
 //!    it computes a *lower bound* on the minimized hypothesis error from
@@ -34,10 +35,11 @@
 //!    its running best; otherwise the candidate is skipped for good.
 //!    Meeting the seed early drives each pixel's best down at once, which
 //!    makes the screen selective for everything visited later. The
-//!    offset's plane is built — into the one reused `OffsetPlanes`
-//!    buffer, and only over the block the evaluated windows read — when
-//!    at least one pixel is evaluated there, so a call builds each plane
-//!    at most once and holds one plane at a time.
+//!    offset's plane is built — into the band's one reused
+//!    `OffsetPlanes` buffer, and only over the block the evaluated
+//!    windows read — when at least one of the band's pixels is evaluated
+//!    there, so a band builds each plane at most once and holds one
+//!    plane at a time.
 //! 3. **Safe termination, not approximate termination.** A candidate is
 //!    skipped only when its deflated bound exceeds
 //!    `(best + NEAR_TIE_ABS) / (1 - NEAR_TIE_REL)` — strictly outside
@@ -62,14 +64,42 @@
 //! a plain raster sweep — every offset ascending, one resident plane —
 //! and the prune-off equivalence tests assert not one output bit moves
 //! either way.
+//!
+//! **Row bands.** With the screen armed, the interior pixels are split
+//! into contiguous row bands: one per CPU that no other thread calling
+//! this driver (or running one of its bands) holds, and none under
+//! `MIN_BAND_ROWS` rows, so a serving pool with a worker per CPU runs
+//! one band per call. Unscreened, a call runs one band. Band 0 runs on
+//! the calling thread, the rest on `std::thread::scope` threads (or on
+//! the caller, should a spawn fail) that share the pair's read-only
+//! static tables. A SAT cell is a prefix sum from the frame origin, and
+//! a band-local table would round its window sums differently, so every
+//! band fills its offset plane and its decimated bound table from row 0
+//! down to its own last window row — which is why the cuts balance a
+//! modelled cost (`PREFIX_COST`) rather than the pixel count. A call
+//! runs in two phases: the bands factorize their pixels and fill their
+//! bounds, seeds and seed histograms; the caller sums the histograms
+//! into the one visit order of move 2; then every band searches in that
+//! order. Each pixel therefore meets the same candidates in the same
+//! order as with one band, so neither the output bits nor the per-pixel
+//! counters depend on the band count. The bands' buffers live in a
+//! scratch owned by the calling thread and are reused across calls, and
+//! each band polls the call's cancellation token (captured once: it is
+//! thread-local) at every offset.
+
+use std::cell::Cell;
+use std::cmp::Reverse;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 use sma_fault::{FaultSite, SmaError};
 use sma_grid::prune::{inv3, quad_min, DecimatedMoments, EvenWindow};
 use sma_grid::Grid;
 
+use crate::cancel::CancelToken;
 use crate::config::{MotionModel, SmaConfig};
 use crate::fastpath::{near_tie, static_channels, StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL};
-use crate::motion::{track_pixel, MotionEstimate, SmaFrames};
+use crate::motion::{track_pixel, MotionEstimate, SmaFrames, GE_SOLVES, HYPOTHESES};
 use crate::sequential::{Region, SmaResult};
 use crate::simd::{
     eval_candidate, gradient_planes, prefactor, sat_extent, EvalState, OffsetPlanes, PixelSystem,
@@ -79,14 +109,22 @@ use crate::simd::{
 static PRUNED_BORDER: sma_obs::Counter = sma_obs::Counter::new("pruned.border_fallback_pixels");
 /// Interior pixels served by the pruned moment path.
 static PRUNED_INTERIOR: sma_obs::Counter = sma_obs::Counter::new("pruned.interior_pixels");
-/// Full offset planes actually built: each offset's plane is built at
-/// most once per call, and only when some pixel is evaluated there, so
-/// this stays at or below `(2 Nzs + 1)^2`.
+/// Distinct offsets whose full plane was built in a call: an offset
+/// counts once when any row band built its plane (a band builds each
+/// offset's plane at most once, and only when one of its pixels is
+/// evaluated there), so this stays at or below `(2 Nzs + 1)^2`. It
+/// does not count the rows a lower band rebuilds above its own: SAT
+/// cells are prefix sums from the frame origin, so every band fills its
+/// plane from row 0 down to its last window row.
 static PRUNED_PLANES: sma_obs::Counter = sma_obs::Counter::new("pruned.offset_planes_built");
 /// Per-pixel `A^T A` LU factorizations (one per interior pixel).
 static PRUNED_FACTORIZATIONS: sma_obs::Counter = sma_obs::Counter::new("pruned.lu_factorizations");
 /// Pixels re-routed to the exact kernel by the shared near-tie guard.
 static PRUNED_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("pruned.near_tie_pixels");
+/// Row bands the interior was split into, summed over calls (`1` per
+/// call on a one-CPU host, on a small frame, unscreened, or while other
+/// matcher threads hold the other CPUs).
+static PRUNED_BANDS: sma_obs::Counter = sma_obs::Counter::new("pruned.bands");
 /// Candidates never fully evaluated: at its offset's turn in the sweep,
 /// the candidate was not its pixel's seed and its bound exceeded the
 /// skip threshold of the pixel's running best. The non-vacuity tests pin
@@ -102,6 +140,24 @@ static CANDIDATES_SKIPPED: sma_obs::Counter = sma_obs::Counter::new("prune.candi
 /// the raster sweep's speed at 3 x 3, 1.12–1.28× at 5 x 5 and 1.83–2.60×
 /// at 9 x 9 and 15 x 15.
 pub const PRUNE_MIN_HYPOTHESES: usize = 25;
+
+/// Fewest interior rows a row band may have. On a 2-CPU Xeon VM (median
+/// of 10 alternating rounds per case), two bands against one read 1.07×
+/// slower at 4 rows per band (Florida 15 x 15 search, 40² frames) but
+/// 1.12× faster at 5 (Luis 9 x 9 search, 32²), 1.07–1.23× faster at 8–9
+/// rows (5 x 5 search at 32², Luis 40², Florida 48²) and 1.14–1.5× at 13
+/// rows and more. 10 keeps clear of the crossover and leaves 32² frames
+/// at 5 x 5 search (18 interior rows, `serve_report --small`'s scenes) on
+/// one band, with no spawn.
+const MIN_BAND_ROWS: usize = 10;
+
+/// Modelled cost of one frame pixel of a band's rebuilt row prefix (per
+/// offset, its plane and bound table refill every row from 0 down to the
+/// band's last window row), relative to one of the band's own interior
+/// pixels (factorization, bounds, evaluations). Two-band calls on 96²
+/// Florida and Luis analogs were fastest with weights of 0.25–0.5 (0:
+/// 1.1–1.2× slower, 1–2: 1.1–1.3× slower).
+const PREFIX_COST: f64 = 0.35;
 
 /// Magnitude ceiling for the screen-arming scan. With every per-pixel
 /// screen input below this, each moment channel is at most a cubic
@@ -194,25 +250,571 @@ fn screen_inputs_bounded(
     true
 }
 
+/// CPUs this process may run on, read once. `available_parallelism`
+/// honours the affinity mask, so under `taskset -c 0` this is 1.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
+
+/// Row bands worth running over an interior `height` rows tall: one per
+/// CPU, none shorter than [`MIN_BAND_ROWS`], and one when the screen is
+/// off — an unscreened sweep builds every offset's plane, and a lower
+/// band rebuilds its plane from row 0, so on `hotpath_report`'s large
+/// scene (2-CPU Xeon VM) two unscreened bands read 31.8 ms against one
+/// band's 31.1 ms.
+fn useful_bands(height: usize, screened: bool) -> usize {
+    if screened {
+        cpus().min(height / MIN_BAND_ROWS).max(1)
+    } else {
+        1
+    }
+}
+
+/// Threads of this process that keep a CPU busy with the pruned driver:
+/// every live thread that has called it (a serving pool's workers stay
+/// counted between frames, while they prepare the next one) and every
+/// band thread now running. A bare count that publishes no other data.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// Counts its thread in [`BUSY`] from the thread's first pruned call
+/// until the thread exits.
+struct MatcherThread;
+
+impl Drop for MatcherThread {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+thread_local! {
+    static MATCHER: MatcherThread = {
+        BUSY.fetch_add(1, Ordering::AcqRel);
+        MatcherThread
+    };
+}
+
+/// Band threads a call wanting `want` bands may spawn beside its caller
+/// while `busy` threads hold the `cpus`: one per CPU nobody holds.
+fn spare_bands(busy: usize, cpus: usize, want: usize) -> usize {
+    cpus.saturating_sub(busy).min(want.saturating_sub(1))
+}
+
+/// The band threads one call may spawn, held in [`BUSY`] until dropped.
+/// Concurrent callers share the CPUs this way instead of each spawning
+/// one band per CPU: with as many matcher threads as CPUs, every call
+/// runs one band on its caller.
+struct BandClaim(usize);
+
+impl BandClaim {
+    /// Count the calling thread as a matcher thread, then claim up to
+    /// `want - 1` band threads beside it ([`spare_bands`]).
+    fn take(want: usize) -> Self {
+        // A thread already tearing down its thread-locals stays uncounted.
+        let _ = MATCHER.try_with(|_| ());
+        let mut got = 0;
+        // The update closure always returns `Some`, so it cannot fail.
+        let _ = BUSY.fetch_update(Ordering::AcqRel, Ordering::Acquire, |busy| {
+            got = spare_bands(busy, cpus(), want);
+            Some(busy + got)
+        });
+        Self(got)
+    }
+
+    /// The call's band count: the caller's band and the claimed threads.
+    fn bands(&self) -> usize {
+        self.0 + 1
+    }
+}
+
+impl Drop for BandClaim {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(self.0, Ordering::AcqRel);
+    }
+}
+
+/// Boundaries of at most `n` contiguous row bands over raster-ordered
+/// `pixels`, as indices into it (first `0`, last `pixels.len()`), each
+/// band at least one row. The cuts minimize the largest modelled band
+/// cost: a band pays for its own pixels and for the `w`-wide row prefix
+/// it rebuilds down to its last window row ([`PREFIX_COST`]), so upper
+/// bands take more rows than lower ones.
+fn split_bands(pixels: &[(usize, usize)], n: usize, w: usize, nt: usize) -> Vec<usize> {
+    if pixels.is_empty() {
+        return vec![0, 0];
+    }
+    // Index of each row's first pixel, then the end.
+    let mut starts: Vec<usize> = (0..pixels.len())
+        .filter(|&i| i == 0 || pixels[i].1 != pixels[i - 1].1)
+        .collect();
+    let rows = starts.len();
+    starts.push(pixels.len());
+    let n = n.clamp(1, rows);
+    // Cost of a band over rows `a..b`.
+    let cost = |a: usize, b: usize| {
+        let prefix = (pixels[starts[b] - 1].1 + nt + 1) * w;
+        (starts[b] - starts[a]) as f64 + PREFIX_COST * prefix as f64
+    };
+    // Greedy cuts under a cost ceiling, leaving every later band a row.
+    let cuts = |ceiling: f64| {
+        let mut cuts = vec![0];
+        for k in 1..n {
+            let a = cuts[k - 1];
+            let mut b = a + 1;
+            while b + (n - k) < rows && cost(a, b + 1) <= ceiling {
+                b += 1;
+            }
+            cuts.push(b);
+        }
+        cuts.push(rows);
+        cuts
+    };
+    // The last band's cost falls as the ceiling rises: bisect for the
+    // smallest ceiling it meets too.
+    let (mut lo, mut hi) = (0.0, cost(0, rows));
+    for _ in 0..48 {
+        let mid = 0.5 * (lo + hi);
+        let c = cuts(mid);
+        if cost(c[n - 1], rows) <= mid {
+            hi = mid;
+        } else {
+            lo = mid;
+        }
+    }
+    cuts(hi).into_iter().map(|r| starts[r]).collect()
+}
+
+/// What one call did, summed over its bands.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+struct Tally {
+    /// Row bands the interior was split into.
+    bands: usize,
+    /// Candidates that took the moment evaluation.
+    evaluated: u64,
+    /// Candidates the screen skipped.
+    skipped: u64,
+    /// Distinct offsets whose plane some band built.
+    planes_built: u64,
+    /// Pixels the near-tie guard re-routed to the exact kernel.
+    near_ties: u64,
+}
+
+/// The pair's read-only inputs, shared by every band.
+struct Shared<'a> {
+    frames: &'a SmaFrames,
+    cfg: &'a SmaConfig,
+    stat: StaticMoments,
+    gx_plane: Grid<f64>,
+    gy_plane: Grid<f64>,
+    /// Even-lattice static sums; `Some` exactly when the screen is armed.
+    dec_static: Option<DecimatedMoments<STATIC_A_CHANNELS>>,
+    /// Hypothesis offsets in ascending raster order.
+    offsets: Vec<(isize, isize)>,
+    /// The calling thread's cancellation token, captured once: a band
+    /// thread cannot see the caller's thread-local token.
+    cancel: Option<CancelToken>,
+}
+
+impl<'a> Shared<'a> {
+    /// The shared static phase: the moment SAT, the hoisted gradient
+    /// planes and, where the screen arms (see the module docs), the
+    /// even-lattice static table.
+    fn new(frames: &'a SmaFrames, cfg: &'a SmaConfig, cancel: Option<CancelToken>) -> Self {
+        let (w, h) = frames.dims();
+        let static_span = sma_obs::span("pruned_static");
+        let stat = StaticMoments::compute(frames);
+        let (gx_plane, gy_plane) = gradient_planes(frames);
+        drop(static_span);
+        let side = 2 * cfg.nzs + 1;
+        let screen_on = cfg.model == MotionModel::Continuous
+            && side * side >= PRUNE_MIN_HYPOTHESES
+            && sma_grid::prune::enabled()
+            && screen_inputs_bounded(frames, &stat, &gx_plane, &gy_plane);
+        let dec_static = screen_on.then(|| {
+            let _screen_span = sma_obs::span("pruned_screen");
+            DecimatedMoments::from_fn(w, h, |x, y| {
+                let g = frames.geo_before.at(x, y);
+                let ch = static_channels(&stat.factors.at(x, y), g.zx, g.zy);
+                [ch[0], ch[1], ch[2], ch[3], ch[4], ch[5]]
+            })
+        });
+        let ns = cfg.nzs as isize;
+        Self {
+            frames,
+            cfg,
+            stat,
+            gx_plane,
+            gy_plane,
+            dec_static,
+            offsets: (-ns..=ns)
+                .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
+                .collect(),
+            cancel,
+        }
+    }
+
+    /// A band's cancellation point, polled once per offset.
+    fn poll(&self) -> Result<(), SmaError> {
+        match &self.cancel {
+            Some(t) if t.is_cancelled() => Err(t.error()),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// `slot`'s value, first replaced by `make()` unless it `fits`.
+fn reuse<T>(slot: &mut Option<T>, fits: impl Fn(&T) -> bool, make: impl FnOnce() -> T) -> &mut T {
+    if !slot.as_ref().is_some_and(fits) {
+        *slot = None;
+    }
+    slot.get_or_insert_with(make)
+}
+
+/// One row band's working buffers. They live in the calling thread's
+/// [`SCRATCH`] and are reused across calls, so a band thread allocates
+/// nothing and repeated calls do not churn the heap.
+#[derive(Default)]
+struct Band {
+    systems: Vec<PixelSystem>,
+    states: Vec<EvalState>,
+    screens: Vec<Option<PixelScreen>>,
+    /// Deflated lower bounds, offset-major: `lb[oi * np + i]`.
+    lb: Vec<f64>,
+    /// Per pixel: its smallest bound and that bound's offset index, the
+    /// pixel's seed.
+    seeds: Vec<(f64, usize)>,
+    /// Per pixel: its cached sweep threshold ([`search_threshold`]).
+    thr: Vec<f64>,
+    /// Pixels evaluated at the current offset.
+    todo: Vec<usize>,
+    /// Per offset: the band's still-searching pixels seeded there.
+    seeded: Vec<usize>,
+    /// Per offset: whether the band built that offset's plane.
+    built: Vec<bool>,
+    planes: Option<OffsetPlanes>,
+    dec: Option<DecimatedMoments<A_CHANNELS>>,
+    evaluated: u64,
+    skipped: u64,
+}
+
+thread_local! {
+    /// The calling thread's row-band buffers (see [`Band`]).
+    static SCRATCH: Cell<Vec<Band>> = const { Cell::new(Vec::new()) };
+}
+
+impl Band {
+    /// Phase one: the band's per-pixel factorizations and, with the
+    /// screen armed, one deflated lower bound per (offset, pixel) and each
+    /// pixel's seed, tallied into the band's seed histogram.
+    fn prepare(&mut self, sh: &Shared, pixels: &[(usize, usize)]) -> Result<(), SmaError> {
+        let (frames, cfg) = (sh.frames, sh.cfg);
+        let n_off = sh.offsets.len();
+        let np = pixels.len();
+        self.evaluated = 0;
+        self.skipped = 0;
+        self.built.clear();
+        self.built.resize(n_off, false);
+        self.seeded.clear();
+        self.seeded.resize(n_off, 0);
+        let static_span = sma_obs::span("pruned_static");
+        self.systems.clear();
+        self.states.clear();
+        for &p in pixels {
+            let (sys, st) = prefactor(frames, cfg, &sh.stat, p, &PRUNED_FACTORIZATIONS);
+            self.systems.push(sys);
+            self.states.push(st);
+        }
+        drop(static_span);
+        let Some(dec_static) = &sh.dec_static else {
+            return Ok(());
+        };
+        if np == 0 {
+            return Ok(());
+        }
+
+        // Even-lattice static sums, the inverted a-block and the hoisted
+        // window corners, per pixel.
+        let _screen_span = sma_obs::span("pruned_screen");
+        let nt = cfg.nzt;
+        self.screens.clear();
+        self.screens.extend(pixels.iter().map(|&(x, y)| {
+            let win = dec_static.even_window(x, y, nt)?;
+            let s = dec_static.sum(&win);
+            let a = [
+                s[0], s[1], -s[2], //
+                s[1], s[3], -s[4], //
+                -s[2], -s[4], s[5],
+            ];
+            Some(PixelScreen {
+                win,
+                inv_a: inv3(&a)?,
+                s_sub: [s[0], s[1], s[2]],
+            })
+        }));
+
+        // One deflated lower bound per (offset, pixel), offset-major,
+        // from one decimated a-channel table refilled per offset down to
+        // the band's last window row. Each pixel's seed — the offset
+        // with the smallest bound, strict `<` so the first in raster
+        // order wins ties — folds into the fill.
+        let (w, h) = frames.dims();
+        let (stat, gx_plane) = (&sh.stat, &sh.gx_plane);
+        let dec = reuse(
+            &mut self.dec,
+            |d| d.fine_dims() == (w, h),
+            || DecimatedMoments::new(w, h),
+        );
+        let rows = sat_extent(pixels.iter().copied(), nt).1;
+        self.lb.clear();
+        self.lb.resize(n_off * np, 0.0);
+        self.seeds.clear();
+        self.seeds.resize(np, (f64::INFINITY, 0));
+        for (oi, (&(ox, oy), out)) in sh.offsets.iter().zip(self.lb.chunks_mut(np)).enumerate() {
+            sh.poll()?;
+            dec.fill_rows(rows, |x, y| {
+                let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
+                let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
+                let gx = gx_plane.at(sx, sy);
+                let [zx_e2, zy_e2, ie2, _, _, _] = stat.factors.at(x, y);
+                let t2 = ie2 * gx;
+                [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
+            });
+            for ((b, scr), seed) in out.iter_mut().zip(&self.screens).zip(&mut self.seeds) {
+                *b = match scr {
+                    Some(scr) => {
+                        let t = dec.sum(&scr.win);
+                        let s = &scr.s_sub;
+                        let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
+                        let btb_a = t[3] - 2.0 * t[0] + s[0];
+                        let raw = quad_min(btb_a, &atb_a, &scr.inv_a);
+                        let guard =
+                            LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
+                        ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
+                    }
+                    None => 0.0,
+                };
+                if *b < seed.0 {
+                    *seed = (*b, oi);
+                }
+            }
+        }
+        for (&(_, soi), st) in self.seeds.iter().zip(&self.states) {
+            if !st.done {
+                self.seeded[soi] += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// Phase two: visit the offsets in the call's `order`. At each, a
+    /// pixel is evaluated if the screen is off, the offset is its seed,
+    /// or its bound passes the skip threshold of its running best (cached
+    /// per pixel, renewed after each evaluation); the offset's plane is
+    /// built into the band's one resident buffer, over the block the
+    /// evaluated windows read, only when some pixel is evaluated there.
+    fn search(
+        &mut self,
+        sh: &Shared,
+        pixels: &[(usize, usize)],
+        order: &[usize],
+    ) -> Result<(), SmaError> {
+        let (frames, cfg) = (sh.frames, sh.cfg);
+        let (w, h) = frames.dims();
+        let np = pixels.len();
+        let screened = sh.dec_static.is_some();
+        let planes = reuse(
+            &mut self.planes,
+            |p| p.dims() == (w, h),
+            || OffsetPlanes::new(w, h),
+        );
+        self.thr.clear();
+        self.thr.extend(self.states.iter().map(search_threshold));
+        for &oi in order {
+            sh.poll()?;
+            let (ox, oy) = sh.offsets[oi];
+            self.todo.clear();
+            if screened {
+                let col = &self.lb[oi * np..(oi + 1) * np];
+                for (i, ((&b, &t), &(_, seed))) in
+                    col.iter().zip(&self.thr).zip(&self.seeds).enumerate()
+                {
+                    if t.is_nan() {
+                        continue;
+                    }
+                    if b > t && seed != oi {
+                        self.skipped += 1;
+                    } else {
+                        self.todo.push(i);
+                    }
+                }
+            } else {
+                self.todo.extend((0..np).filter(|&i| !self.thr[i].is_nan()));
+            }
+            if self.todo.is_empty() {
+                continue;
+            }
+            let extent = sat_extent(self.todo.iter().map(|&i| pixels[i]), cfg.nzt);
+            let plane_span = sma_obs::span("pruned_offset_planes");
+            planes.build(
+                frames,
+                cfg,
+                &sh.stat,
+                &sh.gx_plane,
+                &sh.gy_plane,
+                (ox, oy),
+                extent,
+            );
+            drop(plane_span);
+            self.built[oi] = true;
+            let _eval_span = sma_obs::span("pruned_eval");
+            for &i in &self.todo {
+                let st = &mut self.states[i];
+                if eval_candidate(frames, cfg, planes, pixels[i], &self.systems[i], st, ox, oy) {
+                    self.evaluated += 1;
+                }
+                self.thr[i] = search_threshold(st);
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Run `work` over every band and its slice of `pixels` (`cuts` are the
+/// slice boundaries): band 0 on the calling thread, the others on scoped
+/// threads, each inside a `pruned_band` span so its spans stay
+/// attributed. A band whose thread cannot be spawned (a thread limit
+/// reached, say) runs on the caller after band 0 — no band's output
+/// depends on the thread that runs it. Returns the first error in band
+/// order; a band's panic is re-raised on the caller.
+fn on_bands(
+    bands: &mut [Band],
+    pixels: &[(usize, usize)],
+    cuts: &[usize],
+    work: impl Fn(&mut Band, &[(usize, usize)]) -> Result<(), SmaError> + Sync,
+) -> Result<(), SmaError> {
+    // Each band's job, taken by whichever thread runs it: its own, or
+    // the caller's when the spawn failed.
+    let jobs: Vec<_> = bands
+        .iter_mut()
+        .zip(cuts.windows(2))
+        .map(|(band, c)| Mutex::new(Some((band, &pixels[c[0]..c[1]]))))
+        .collect();
+    let run = |i: usize| {
+        // A slot is locked only to `take` its job, which cannot panic, so
+        // a poisoned slot still holds a valid job.
+        let job = jobs[i]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        job.map_or(Ok(()), |(band, px)| work(band, px))
+    };
+    std::thread::scope(|s| {
+        let run = &run;
+        let spawned: Vec<_> = (1..jobs.len())
+            .map(|i| {
+                std::thread::Builder::new()
+                    .name("pruned-band".into())
+                    .spawn_scoped(s, move || {
+                        let _band_span = sma_obs::span("pruned_band");
+                        run(i)
+                    })
+            })
+            .collect();
+        let mut out = run(0);
+        for (i, handle) in (1..).zip(spawned) {
+            let band = match handle {
+                Ok(h) => h
+                    .join()
+                    .unwrap_or_else(|payload| std::panic::resume_unwind(payload)),
+                Err(_) => run(i),
+            };
+            out = out.and(band);
+        }
+        out
+    })
+}
+
+/// The one visit order every band follows, from the bands' summed seed
+/// histograms: the distinct seed offsets, most-seeded first, then the
+/// rest ascending. Unscreened, no pixel is seeded and the order is the
+/// ascending raster order of every other driver, so strict-less winner
+/// updates agree with theirs.
+fn visit_order(bands: &[Band], n_off: usize) -> Vec<usize> {
+    let mut seeded = vec![0usize; n_off];
+    for band in bands {
+        for (total, &k) in seeded.iter_mut().zip(&band.seeded) {
+            *total += k;
+        }
+    }
+    let mut order: Vec<usize> = (0..n_off).filter(|&oi| seeded[oi] > 0).collect();
+    order.sort_by_key(|&oi| Reverse(seeded[oi]));
+    order.extend((0..n_off).filter(|&oi| seeded[oi] == 0));
+    order
+}
+
+/// Both phases over `cuts.len() - 1` bands drawn from `scratch`, with the
+/// caller computing the [`visit_order`] between them, so each pixel meets
+/// the same candidates in the same order whatever the band count. The
+/// tally counts the work the bands did even when the sweep stopped
+/// early, so a cancelled call still reports it.
+fn sweep(
+    sh: &Shared,
+    pixels: &[(usize, usize)],
+    cuts: &[usize],
+    scratch: &mut Vec<Band>,
+) -> (Tally, Result<(), SmaError>) {
+    let n = cuts.len() - 1;
+    if scratch.len() < n {
+        scratch.resize_with(n, Band::default);
+    }
+    let bands = &mut scratch[..n];
+    let n_off = sh.offsets.len();
+    let swept = on_bands(bands, pixels, cuts, |band, px| band.prepare(sh, px)).and_then(|()| {
+        let order = visit_order(bands, n_off);
+        on_bands(bands, pixels, cuts, |band, px| band.search(sh, px, &order))
+    });
+    let tally = Tally {
+        bands: n,
+        evaluated: bands.iter().map(|b| b.evaluated).sum(),
+        skipped: bands.iter().map(|b| b.skipped).sum(),
+        planes_built: (0..n_off)
+            .filter(|&oi| bands.iter().any(|b| b.built[oi]))
+            .count() as u64,
+        near_ties: 0, // the caller's guard counts them after the sweep
+    };
+    (tally, swept)
+}
+
 /// Track every pixel of `region` with the pruned-search moment path.
 /// Output is bit-identical to [`crate::fastpath::track_all_integral`] by
-/// construction, screened or not — see the module docs; the conformance
-/// matrix pins the contract at run time.
+/// construction, screened or not and for any band count — see the
+/// module docs; the conformance matrix pins the contract at run time.
 ///
 /// # Errors
 /// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
-/// frame size.
+/// frame size; [`SmaError::DeadlineExceeded`] once the calling thread's
+/// cancellation token is cancelled.
 pub fn track_all_pruned(
     frames: &SmaFrames,
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
+    track_banded(frames, cfg, region, None).map(|(result, _)| result)
+}
+
+/// [`track_all_pruned`] over `bands` row bands (`None`: as many of the
+/// [`useful_bands`] as a [`BandClaim`] grants), returning the call's own
+/// tallies beside the result.
+fn track_banded(
+    frames: &SmaFrames,
+    cfg: &SmaConfig,
+    region: Region,
+    bands: Option<usize>,
+) -> Result<(SmaResult, Tally), SmaError> {
     let _span = sma_obs::span("track_pruned");
     let (w, h) = frames.dims();
     let bounds = region.bounds_checked(w, h)?;
     crate::cancel::checkpoint()?;
-    let ns = cfg.nzs as isize;
-    let nt = cfg.nzt;
     let template = cfg.template_window();
 
     let mut best: Grid<MotionEstimate> = Grid::filled(w, h, MotionEstimate::invalid());
@@ -254,201 +856,59 @@ pub fn track_all_pruned(
         .collect();
     PRUNED_INTERIOR.add(interior.len() as u64);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchPruned, &interior);
-    if interior.is_empty() {
-        return Ok(SmaResult {
+    let (Some(&(_, top)), Some(&(_, bottom))) = (interior.first(), interior.last()) else {
+        let result = SmaResult {
             estimates: best,
             region: bounds,
-        });
-    }
-
-    // Static phase: the moment SAT, the hoisted gradient planes and the
-    // per-pixel factorization.
-    let static_span = sma_obs::span("pruned_static");
-    let stat = StaticMoments::compute(frames);
-    let (gx_plane, gy_plane) = gradient_planes(frames);
-    let (systems, mut states): (Vec<PixelSystem>, Vec<EvalState>) = interior
-        .iter()
-        .map(|&p| prefactor(frames, cfg, &stat, p, &PRUNED_FACTORIZATIONS))
-        .unzip();
-    drop(static_span);
-
-    let side = 2 * cfg.nzs + 1;
-    let screen_on = cfg.model == MotionModel::Continuous
-        && side * side >= PRUNE_MIN_HYPOTHESES
-        && sma_grid::prune::enabled()
-        && screen_inputs_bounded(frames, &stat, &gx_plane, &gy_plane);
-
-    let mut planes = OffsetPlanes::new(w, h);
-    let build_plane =
-        |planes: &mut OffsetPlanes, offset: (isize, isize), extent: (usize, usize)| {
-            let _plane_span = sma_obs::span("pruned_offset_planes");
-            PRUNED_PLANES.incr();
-            planes.build(frames, cfg, &stat, &gx_plane, &gy_plane, offset, extent);
         };
-    if !screen_on {
-        // Raster sweep: every offset in ascending row-major order — the
-        // hypothesis order of every other driver, so strict-less winner
-        // updates agree — one resident plane, every pixel evaluated.
-        let extent = sat_extent(interior.iter().copied(), nt);
-        for oy in -ns..=ns {
-            crate::cancel::checkpoint()?;
-            for ox in -ns..=ns {
-                build_plane(&mut planes, (ox, oy), extent);
-                let _eval_span = sma_obs::span("pruned_eval");
-                for ((&p, sys), st) in interior.iter().zip(&systems).zip(&mut states) {
-                    if !st.done {
-                        eval_candidate(frames, cfg, &planes, p, sys, st, ox, oy);
-                    }
-                }
-            }
-        }
-    } else {
-        // --- Screening phase ---------------------------------------
-        // Even-lattice static sums, the inverted a-block and the
-        // hoisted window corners, per pixel.
-        let screen_span = sma_obs::span("pruned_screen");
-        let dec_static: DecimatedMoments<STATIC_A_CHANNELS> =
-            DecimatedMoments::from_fn(w, h, |x, y| {
-                let g = frames.geo_before.at(x, y);
-                let ch = static_channels(&stat.factors.at(x, y), g.zx, g.zy);
-                [ch[0], ch[1], ch[2], ch[3], ch[4], ch[5]]
-            });
-        let screen_for = |&(x, y): &(usize, usize)| -> Option<PixelScreen> {
-            let win = dec_static.even_window(x, y, nt)?;
-            let s = dec_static.sum(&win);
-            let a = [
-                s[0], s[1], -s[2], //
-                s[1], s[3], -s[4], //
-                -s[2], -s[4], s[5],
-            ];
-            Some(PixelScreen {
-                win,
-                inv_a: inv3(&a)?,
-                s_sub: [s[0], s[1], s[2]],
-            })
-        };
-        let screens: Vec<Option<PixelScreen>> = interior.iter().map(screen_for).collect();
+        return Ok((result, Tally::default()));
+    };
 
-        // One deflated lower bound per (offset, pixel), offset-major,
-        // from one decimated a-channel table refilled per offset. Each
-        // pixel's seed — the offset with the smallest bound, strict `<`
-        // so the first in raster order wins ties — folds into the fill.
-        let n_off = side * side;
-        let np = interior.len();
-        let offsets: Vec<(isize, isize)> = (-ns..=ns)
-            .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
-            .collect();
-        let mut lb = vec![0.0f64; n_off * np];
-        let mut seeds: Vec<(f64, usize)> = vec![(f64::INFINITY, 0); np];
-        let mut dec: DecimatedMoments<A_CHANNELS> = DecimatedMoments::new(w, h);
-        for (oi, (&(ox, oy), out)) in offsets.iter().zip(lb.chunks_mut(np)).enumerate() {
-            dec.fill(|x, y| {
-                let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
-                let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
-                let gx = gx_plane.at(sx, sy);
-                let [zx_e2, zy_e2, ie2, _, _, _] = stat.factors.at(x, y);
-                let t2 = ie2 * gx;
-                [zx_e2 * gx, zy_e2 * gx, t2, t2 * gx]
-            });
-            for ((b, scr), seed) in out.iter_mut().zip(&screens).zip(&mut seeds) {
-                *b = match scr {
-                    Some(scr) => {
-                        let t = dec.sum(&scr.win);
-                        let s = &scr.s_sub;
-                        let atb_a = [s[0] - t[0], s[1] - t[1], t[2] - s[2]];
-                        let btb_a = t[3] - 2.0 * t[0] + s[0];
-                        let raw = quad_min(btb_a, &atb_a, &scr.inv_a);
-                        let guard =
-                            LB_GUARD_ABS + LB_GUARD_REL * (t[3].abs() + 2.0 * t[0].abs() + s[0]);
-                        ((raw - guard) * (1.0 - LB_SAFETY_REL)).max(0.0)
-                    }
-                    None => 0.0,
-                };
-                if *b < seed.0 {
-                    *seed = (*b, oi);
-                }
-            }
-        }
-        drop(screen_span);
-
-        // --- Search phase ------------------------------------------
-        // One sweep: the distinct seed offsets first, most-seeded first
-        // (so most pixels meet their likely winner before anything
-        // else), then every other offset ascending. At each offset a
-        // pixel is evaluated if this is its seed or its bound passes the
-        // skip threshold of its running best (cached per pixel, renewed
-        // after each evaluation); the offset's plane is built into the
-        // one resident buffer only when some pixel is evaluated there.
-        let mut seeded = vec![0usize; n_off];
-        for (&(_, soi), st) in seeds.iter().zip(&states) {
-            if !st.done {
-                seeded[soi] += 1;
-            }
-        }
-        let mut order: Vec<usize> = (0..n_off).filter(|&oi| seeded[oi] > 0).collect();
-        order.sort_by_key(|&oi| std::cmp::Reverse(seeded[oi]));
-        order.extend((0..n_off).filter(|&oi| seeded[oi] == 0));
-
-        let mut thr: Vec<f64> = states.iter().map(search_threshold).collect();
-        let mut todo: Vec<usize> = Vec::with_capacity(np);
-        let mut skipped = 0u64;
-        for &oi in &order {
-            crate::cancel::checkpoint()?;
-            let (ox, oy) = offsets[oi];
-            todo.clear();
-            let col = &lb[oi * np..(oi + 1) * np];
-            for (i, ((&b, &t), &(_, seed))) in col.iter().zip(&thr).zip(&seeds).enumerate() {
-                if t.is_nan() {
-                    continue;
-                }
-                if b > t && seed != oi {
-                    skipped += 1;
-                } else {
-                    todo.push(i);
-                }
-            }
-            if todo.is_empty() {
-                continue;
-            }
-            // The plane covers only the block the evaluated windows read.
-            let extent = sat_extent(todo.iter().map(|&i| interior[i]), nt);
-            build_plane(&mut planes, (ox, oy), extent);
-            let _eval_span = sma_obs::span("pruned_eval");
-            for &i in &todo {
-                let st = &mut states[i];
-                eval_candidate(frames, cfg, &planes, interior[i], &systems[i], st, ox, oy);
-                thr[i] = search_threshold(st);
-            }
-        }
-        CANDIDATES_SKIPPED.add(skipped);
-    }
-
-    for (&(x, y), st) in interior.iter().zip(&states) {
-        best.set(x, y, st.best);
-    }
-    let seconds: Vec<f64> = states.iter().map(|st| st.second).collect();
+    let shared = Shared::new(frames, cfg, crate::cancel::current());
+    let claim = BandClaim::take(useful_bands(bottom - top + 1, shared.dec_static.is_some()));
+    let cuts = split_bands(&interior, bands.unwrap_or(claim.bands()), w, cfg.nzt);
+    let mut scratch = SCRATCH.take();
+    let (tally, swept) = sweep(&shared, &interior, &cuts, &mut scratch);
+    drop(claim);
+    HYPOTHESES.add(tally.evaluated);
+    GE_SOLVES.add(tally.evaluated);
+    CANDIDATES_SKIPPED.add(tally.skipped);
+    PRUNED_PLANES.add(tally.planes_built);
+    PRUNED_BANDS.add(tally.bands as u64);
 
     // Shared near-tie guard: identical predicate, identical re-route.
     // The screen never skips a candidate inside the band around the
     // final best, so the observed runner-up classifies each pixel
     // exactly as an exhaustive sweep would.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .zip(&seconds)
-        .filter(|(&(x, y), &sec)| best.at(x, y).valid && near_tie(best.at(x, y).error, sec))
-        .map(|(&p, _)| p)
-        .collect();
-    PRUNED_NEAR_TIE.add(ties.len() as u64);
+    let mut ties: Vec<(usize, usize)> = Vec::new();
+    if swept.is_ok() {
+        for (band, c) in scratch.iter().zip(cuts.windows(2)) {
+            for (&(x, y), st) in interior[c[0]..c[1]].iter().zip(&band.states) {
+                best.set(x, y, st.best);
+                if st.best.valid && near_tie(st.best.error, st.second) {
+                    ties.push((x, y));
+                }
+            }
+        }
+    }
+    SCRATCH.set(scratch);
+    swept?;
+    let tally = Tally {
+        near_ties: ties.len() as u64,
+        ..tally
+    };
+    PRUNED_NEAR_TIE.add(tally.near_ties);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::NearTie, &ties);
     sma_obs::atlas::mark_batch(sma_obs::atlas::AtlasChannel::DispatchExact, &ties);
     for &(x, y) in &ties {
         best.set(x, y, track_pixel(frames, cfg, x, y));
     }
 
-    Ok(SmaResult {
+    let result = SmaResult {
         estimates: best,
         region: bounds,
-    })
+    };
+    Ok((result, tally))
 }
 
 #[cfg(test)]
@@ -458,6 +918,13 @@ mod tests {
     use crate::fastpath::track_all_integral;
     use sma_grid::warp::translate;
     use sma_grid::{BorderPolicy, Vec2};
+    use sma_satdata::{florida_thunderstorm_analog, hurricane_luis_analog, SceneSequence};
+    use std::sync::Mutex;
+
+    /// Serializes the tests that flip the global `SMA_PRUNE` toggle, so
+    /// one test's disarmed window never leaks into another's armed
+    /// assertion.
+    static TOGGLE: Mutex<()> = Mutex::new(());
 
     fn wavy(w: usize, h: usize) -> Grid<f32> {
         Grid::from_fn(w, h, |x, y| {
@@ -529,7 +996,10 @@ mod tests {
     fn flat_surface_untrackable_in_pruned_path() {
         // Singular per-pixel systems: the screen is unscreenable
         // (inv_a = None, bound 0) and every hypothesis is evaluated
-        // and skipped, matching the scalar outcome.
+        // and skipped, matching the scalar outcome. Armed faults would
+        // turn the skip into the translation-only fallback, so hold the
+        // fault-state lock against the test that arms them.
+        let _faults = sma_fault::exclusive();
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let flat = Grid::filled(30, 30, 1.0f32);
         let f = SmaFrames::prepare(&flat, &flat, &flat, &flat, &cfg).expect("prepare");
@@ -555,6 +1025,7 @@ mod tests {
         let region = Region::Interior {
             margin: cfg.margin(),
         };
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
         // Counters only record while observability is armed.
         sma_obs::set_level(sma_obs::ObsLevel::Summary);
         let skipped0 = sma_obs::metrics::snapshot().counter("prune.candidates_skipped");
@@ -592,6 +1063,219 @@ mod tests {
         let on = track_all_pruned(&f, &cfg, region).expect("simd on");
         for (x, y) in on.region.pixels() {
             assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
+        }
+    }
+
+    /// The first pair of `seq`, prepared under `cfg`.
+    fn first_pair(seq: &SceneSequence, cfg: &SmaConfig) -> SmaFrames {
+        SmaFrames::prepare(
+            &seq.frames[0].intensity,
+            &seq.frames[1].intensity,
+            seq.surface(0),
+            seq.surface(1),
+            cfg,
+        )
+        .expect("prepare")
+    }
+
+    /// Every bit of one estimate: displacement, the nine affine terms,
+    /// the error and the validity flag.
+    fn estimate_bits(e: &MotionEstimate) -> [u64; 13] {
+        let a = &e.affine;
+        [
+            u64::from(e.displacement.u.to_bits()),
+            u64::from(e.displacement.v.to_bits()),
+            a.ai.to_bits(),
+            a.bi.to_bits(),
+            a.aj.to_bits(),
+            a.bj.to_bits(),
+            a.ak.to_bits(),
+            a.bk.to_bits(),
+            a.x0.to_bits(),
+            a.y0.to_bits(),
+            a.z0.to_bits(),
+            e.error.to_bits(),
+            u64::from(e.valid),
+        ]
+    }
+
+    fn assert_bits_equal(want: &SmaResult, got: &SmaResult, tag: &str) {
+        assert_eq!(want.region, got.region, "{tag}: region");
+        for (x, y) in want.region.pixels() {
+            assert_eq!(
+                estimate_bits(&want.estimates.at(x, y)),
+                estimate_bits(&got.estimates.at(x, y)),
+                "{tag}: diverged at ({x},{y})"
+            );
+        }
+    }
+
+    #[test]
+    fn band_count_changes_no_bit_and_no_tally() {
+        // The paper-window analogs (Florida 15 x 15, Luis 9 x 9 search)
+        // with the screen on and off, and the semi-fluid raster sweep,
+        // each disarmed and with faults armed at rate 0: 2, 3 and 7 bands
+        // must reproduce the 1-band run to the bit, and its evaluated,
+        // skipped, built-plane and near-tie tallies; the 1-band run must
+        // match the integral driver to the bit.
+        let _faults = sma_fault::exclusive();
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        // The semi-fluid correspondence search prices every plane cell
+        // like an exact-kernel sample, so its case runs on a 32² crop of
+        // the Luis scene (12 interior rows, still enough for 7 bands).
+        let cases = [
+            (
+                "florida",
+                florida_thunderstorm_analog(64, 2, 11),
+                SmaConfig::goes9_florida(),
+            ),
+            (
+                "luis",
+                hurricane_luis_analog(64, 2, 12),
+                SmaConfig::hurricane_luis(),
+            ),
+            (
+                "luis semi-fluid",
+                hurricane_luis_analog(32, 2, 12),
+                SmaConfig::small_test(MotionModel::SemiFluid),
+            ),
+        ];
+        for (name, seq, cfg) in &cases {
+            let f = first_pair(seq, cfg);
+            let region = Region::Interior {
+                margin: cfg.margin(),
+            };
+            for armed in [false, true] {
+                if armed {
+                    sma_fault::install(0x5EED, 0.0);
+                }
+                let integral = track_all_integral(&f, cfg, region).expect("integral");
+                for screen in [true, false] {
+                    sma_grid::prune::set_enabled(screen);
+                    let tag = format!("{name} screen {screen} armed {armed}");
+                    let (one, t1) = track_banded(&f, cfg, region, Some(1)).expect("1 band");
+                    assert_eq!(t1.bands, 1, "{tag}");
+                    assert_bits_equal(&integral, &one, &format!("{tag}: 1 band vs integral"));
+                    let screened = screen && cfg.model == MotionModel::Continuous;
+                    assert_eq!(t1.skipped > 0, screened, "{tag}: skipped {}", t1.skipped);
+                    for n in [2, 3, 7] {
+                        let (got, tn) = track_banded(&f, cfg, region, Some(n)).expect("bands");
+                        assert_eq!(tn.bands, n, "{tag}");
+                        assert_bits_equal(&one, &got, &format!("{tag}: {n} bands vs 1"));
+                        assert_eq!(
+                            (tn.evaluated, tn.skipped, tn.planes_built, tn.near_ties),
+                            (t1.evaluated, t1.skipped, t1.planes_built, t1.near_ties),
+                            "{tag}: {n} bands' tallies vs 1"
+                        );
+                    }
+                }
+                sma_grid::prune::set_enabled(true);
+                sma_fault::disarm();
+            }
+        }
+    }
+
+    #[test]
+    fn cancellation_reaches_every_band() {
+        // A cancelled token installed on the calling thread, captured as
+        // `track_banded` captures it, must stop every band of a 3-band
+        // sweep, spawned ones included, at its first offset: factorized,
+        // but with no bound filled and no pixel seeded. The sweep is
+        // entered directly because `track_banded`'s entry checkpoint
+        // would return before any band exists.
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let cfg = SmaConfig::goes9_florida();
+        let f = first_pair(&florida_thunderstorm_analog(64, 2, 11), &cfg);
+        let (w, h) = f.dims();
+        let interior: Vec<(usize, usize)> = Region::Interior {
+            margin: cfg.margin(),
+        }
+        .bounds_checked(w, h)
+        .expect("region")
+        .pixels()
+        .collect();
+        let cuts = split_bands(&interior, 3, w, cfg.nzt);
+        let token = crate::cancel::CancelToken::new();
+        token.cancel(7, 5);
+        let _g = crate::cancel::install(token);
+        let shared = Shared::new(&f, &cfg, crate::cancel::current());
+        assert!(shared.dec_static.is_some(), "the screen must arm here");
+        let mut scratch = Vec::new();
+        let (tally, swept) = sweep(&shared, &interior, &cuts, &mut scratch);
+        assert_eq!(
+            swept,
+            Err(SmaError::DeadlineExceeded {
+                elapsed_ms: 7,
+                budget_ms: 5,
+            })
+        );
+        assert_eq!(
+            (tally.bands, tally.evaluated, tally.planes_built),
+            (3, 0, 0)
+        );
+        for (i, band) in scratch.iter().enumerate() {
+            assert_eq!(band.systems.len(), cuts[i + 1] - cuts[i], "band {i}");
+            assert!(band.seeded.iter().all(|&k| k == 0), "band {i} seeded");
+        }
+    }
+
+    #[test]
+    fn band_claims_share_the_cpus() {
+        // One band thread per CPU no matcher or band thread holds, never
+        // more than the call wants beside its caller.
+        assert_eq!(spare_bands(1, 2, 2), 1); // a lone caller on 2 CPUs
+        assert_eq!(spare_bands(2, 2, 2), 0); // a 2-worker pool on 2 CPUs
+        assert_eq!(spare_bands(9, 8, 8), 0); // 8 workers and a main thread
+        assert_eq!(spare_bands(3, 8, 8), 5);
+        assert_eq!(spare_bands(1, 8, 3), 2);
+        assert_eq!(spare_bands(1, 8, 1), 0);
+        assert_eq!(spare_bands(1, 8, 0), 0);
+        // A claim counts its caller and holds its band threads until it
+        // drops, whatever other tests hold meanwhile.
+        let claim = BandClaim::take(cpus());
+        assert!(claim.bands() <= cpus());
+        assert!(BUSY.load(Ordering::Acquire) > claim.0);
+        assert_eq!(BandClaim::take(1).bands(), 1);
+    }
+
+    #[test]
+    fn a_worker_per_cpu_runs_one_band_each() {
+        // A pool with a worker per CPU: each worker counts from its first
+        // call until it exits, so once all have called (the first barrier)
+        // and while none has exited (the second), no call may spawn a band
+        // thread, whatever other tests hold.
+        let n = cpus();
+        let barrier = std::sync::Barrier::new(n);
+        std::thread::scope(|s| {
+            for _ in 0..n {
+                s.spawn(|| {
+                    drop(BandClaim::take(1));
+                    barrier.wait();
+                    let bands = BandClaim::take(n).bands();
+                    barrier.wait();
+                    assert_eq!(bands, 1);
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn bands_cover_the_rows_and_lean_upward() {
+        // Contiguous, row-aligned, non-empty bands over every pixel;
+        // an upper band rebuilds a shorter prefix, so it takes at least
+        // as many rows as the band below it.
+        let pixels: Vec<(usize, usize)> = (16..80)
+            .flat_map(|y| (16..80).map(move |x| (x, y)))
+            .collect();
+        for n in [1usize, 2, 3, 7, 64, 100] {
+            let cuts = split_bands(&pixels, n, 96, 7);
+            assert_eq!(cuts.len(), n.min(64) + 1, "n={n}");
+            assert_eq!((cuts[0], cuts[cuts.len() - 1]), (0, pixels.len()));
+            let rows: Vec<usize> = cuts.windows(2).map(|c| (c[1] - c[0]) / 64).collect();
+            for (c, r) in cuts.windows(2).zip(&rows) {
+                assert!(c[1] > c[0] && c[0] % 64 == 0 && *r >= 1, "n={n} {cuts:?}");
+            }
+            assert!(rows.windows(2).all(|r| r[0] >= r[1]), "n={n} {rows:?}");
         }
     }
 

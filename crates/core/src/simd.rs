@@ -43,10 +43,7 @@ use crate::fastpath::{
     ata_from_static, atb_from_moments, btb_from_moments, moment_error, StaticMoments,
     OFFSET_CHANNELS, STATIC_CHANNELS,
 };
-use crate::motion::{
-    refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames, GE_SOLVES,
-    HYPOTHESES,
-};
+use crate::motion::{refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames};
 use crate::template_map::semifluid_correspondence;
 
 /// Per-pixel hypothesis-independent state: static window sums, the
@@ -99,6 +96,11 @@ impl OffsetPlanes {
             gx_row: vec![0.0; w],
             gy_row: vec![0.0; w],
         }
+    }
+
+    /// The `(w, h)` image size the table was made for.
+    pub(crate) fn dims(&self) -> (usize, usize) {
+        (self.w1 - 1, self.cells.len() / self.w1 - 1)
     }
 
     /// Fill the table for hypothesis offset `(ox, oy)` over the image's
@@ -261,6 +263,13 @@ pub(crate) fn prefactor(
 /// its screened sweep or its raster sweep, goes through this one
 /// function, so an evaluation yields the same bits whatever the order
 /// candidates are visited in.
+///
+/// Returns `true` when the candidate took the moment evaluation — one
+/// hypothesis and one solve, which the caller adds to
+/// `sma.hypotheses_evaluated` and `sma.ge_solves` once per call, so
+/// concurrent row bands do not contend on the shared counters — and
+/// `false` when a non-finite window sum sent the pixel to the exact
+/// kernel (which counts its own hypotheses).
 #[allow(clippy::too_many_arguments)] // hot-loop state threading
 #[inline]
 pub(crate) fn eval_candidate(
@@ -272,17 +281,15 @@ pub(crate) fn eval_candidate(
     st: &mut EvalState,
     ox: isize,
     oy: isize,
-) {
+) -> bool {
     let t = planes.window_sum(x, y, cfg.nzt);
     if !t.iter().all(|v| v.is_finite()) {
         sma_fault::note_natural_degradation();
         st.best = track_pixel(frames, cfg, x, y);
         st.second = f64::NEG_INFINITY;
         st.done = true;
-        return;
+        return false;
     }
-    HYPOTHESES.incr();
-    GE_SOLVES.incr();
     let s = &sys.s;
     let atb = atb_from_moments(s, &t);
     let btb = btb_from_moments(s, &t);
@@ -297,7 +304,7 @@ pub(crate) fn eval_candidate(
             // pixel, so the armed-mode translation-only fallback (or the
             // disarmed skip) applies uniformly.
             if !sma_fault::enabled() || s[5] <= 0.0 || s[11] <= 0.0 {
-                return;
+                return true;
             }
             sma_fault::note_natural_degradation();
             [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
@@ -317,6 +324,7 @@ pub(crate) fn eval_candidate(
     } else if error < st.second {
         st.second = error;
     }
+    true
 }
 
 /// The observed after-motion gradient planes `(-n_i/n_k, -n_j/n_k)`,

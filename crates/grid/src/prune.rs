@@ -81,11 +81,12 @@ pub fn set_enabled(on: bool) {
 /// permanent zero row 0 and column 0 — so a window sum is four
 /// branch-free lookups at indices that [`DecimatedMoments::even_window`]
 /// computes once per window, and [`DecimatedMoments::fill`] refills the
-/// same buffer (the pruned drivers keep one table per pair and refill it
-/// per hypothesis offset). The pad supplies the literal `0.0` a clipped
-/// [`crate::MomentIntegral::rect_sum`] substitutes, and each cell
-/// accumulates in [`crate::MomentIntegral::from_fn`]'s order, so every
-/// sum is bit-identical to the unpadded table's.
+/// same buffer (the pruned driver keeps one table per row band and
+/// refills it per hypothesis offset, down to the band's last window row
+/// with [`DecimatedMoments::fill_rows`]). The pad supplies the literal
+/// `0.0` a clipped [`crate::MomentIntegral::rect_sum`] substitutes, and
+/// each cell accumulates in [`crate::MomentIntegral::from_fn`]'s order,
+/// so every sum is bit-identical to the unpadded table's.
 #[derive(Debug, Clone)]
 pub struct DecimatedMoments<const K: usize> {
     cells: Vec<[f64; K]>,
@@ -131,9 +132,19 @@ impl<const K: usize> DecimatedMoments<K> {
 
     /// Refill every cell from `f`, sampled at the even fine pixels
     /// `(2 cx, 2 cy)` in raster order; only the zero pad persists.
-    pub fn fill(&mut self, mut f: impl FnMut(usize, usize) -> [f64; K]) {
+    pub fn fill(&mut self, f: impl FnMut(usize, usize) -> [f64; K]) {
+        self.fill_rows(self.fine_h, f);
+    }
+
+    /// Refill only the cells that windows over the top `fine_rows` rows
+    /// of the fine plane read: the coarse rows holding even fine rows
+    /// below `fine_rows`. A cell depends only on the samples above and
+    /// left of it, so those cells equal a full [`fill`](Self::fill)'s
+    /// bit for bit; the rows below keep stale values that such windows
+    /// never read.
+    pub fn fill_rows(&mut self, fine_rows: usize, mut f: impl FnMut(usize, usize) -> [f64; K]) {
         let cw1 = self.cw + 1;
-        for cy in 0..self.ch {
+        for cy in 0..fine_rows.div_ceil(2).min(self.ch) {
             let (done, rest) = self.cells.split_at_mut((cy + 1) * cw1);
             let above = &done[cy * cw1 + 1..];
             let mut row_sum = [0.0f64; K];
@@ -365,6 +376,35 @@ mod tests {
             let win = d.even_window(cx, cy, n).expect("even samples");
             assert_eq!(win, fresh.even_window(cx, cy, n).expect("even samples"));
             assert_eq!(d.sum(&win), fresh.sum(&win), "({cx},{cy}) n={n}");
+        }
+    }
+
+    #[test]
+    fn row_limited_fill_matches_a_full_fill_above_its_extent() {
+        // Windows whose fine rows end above `fine_rows` must read the
+        // same bits from a partial refill (over stale contents) as from a
+        // full build.
+        let (w, h) = (13usize, 15usize);
+        let fresh = DecimatedMoments::<2>::from_fn(w, h, chan);
+        for fine_rows in [1usize, 2, 5, 8, 15] {
+            let mut d = DecimatedMoments::<2>::from_fn(w, h, |x, y| [y as f64, x as f64 * 3.0]);
+            d.fill_rows(fine_rows, chan);
+            for n in 0..4usize {
+                for cy in 0..h {
+                    if (cy + n).min(h - 1) >= fine_rows {
+                        continue;
+                    }
+                    for cx in 0..w {
+                        if let Some(win) = d.even_window(cx, cy, n) {
+                            assert_eq!(
+                                d.sum(&win).map(f64::to_bits),
+                                fresh.sum(&win).map(f64::to_bits),
+                                "rows {fine_rows} ({cx},{cy}) n={n}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

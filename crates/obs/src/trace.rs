@@ -151,9 +151,23 @@ thread_local! {
 fn with_ring(f: impl FnOnce(&ThreadRing)) {
     RING.with(|cell| {
         let ring = cell.get_or_init(|| {
+            let cur = std::thread::current();
+            let mut registry = rings().lock().ok();
+            // A named thread takes over a retired ring of its name — one
+            // whose owner has exited, so only the registry still holds
+            // it. Threads spawned per call (the pruned driver's row
+            // bands) then share one bounded ring per name instead of
+            // registering one more with every spawn.
+            if let (Some(name), Some(r)) = (cur.name(), registry.as_ref()) {
+                if let Some(retired) = r
+                    .iter()
+                    .find(|ring| ring.label == name && Arc::strong_count(ring) == 1)
+                {
+                    return Arc::clone(retired);
+                }
+            }
             static NEXT_TID: AtomicU64 = AtomicU64::new(1);
             let tid = NEXT_TID.fetch_add(1, Relaxed);
-            let cur = std::thread::current();
             let label = match cur.name() {
                 Some(n) => n.to_string(),
                 None => format!("thread-{tid}"),
@@ -166,7 +180,7 @@ fn with_ring(f: impl FnOnce(&ThreadRing)) {
                     dropped: 0,
                 }),
             });
-            if let Ok(mut r) = rings().lock() {
+            if let Some(r) = registry.as_mut() {
                 r.push(Arc::clone(&ring));
             }
             ring

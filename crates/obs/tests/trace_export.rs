@@ -85,7 +85,32 @@ fn flight_recorder_exports_valid_cross_thread_chrome_trace() {
         .expect("main root path");
     assert_eq!(root.count, 1);
 
-    // Phase 3: overflow drops whole (oldest) spans; the export stays
+    // Phase 3: threads spawned one after another under one name (as the
+    // pruned driver spawns its row bands per call) share one ring: the
+    // export names the thread once, and keeps every thread's spans.
+    for _ in 0..3 {
+        std::thread::Builder::new()
+            .name("trace-respawned".into())
+            .spawn(|| {
+                let _s = span("trace_test_respawned");
+            })
+            .expect("spawn worker")
+            .join()
+            .expect("join worker");
+    }
+    let json = trace::chrome_json();
+    assert_eq!(
+        json.matches("trace-respawned").count(),
+        1,
+        "one ring per retired thread name"
+    );
+    let respawned = trace::latency_summary()
+        .into_iter()
+        .find(|l| l.path == "trace_test_respawned")
+        .expect("respawned spans recorded");
+    assert_eq!(respawned.count, 3);
+
+    // Phase 4: overflow drops whole (oldest) spans; the export stays
     // balanced and bounded.
     trace::reset();
     for _ in 0..(TRACE_RING_CAPACITY + 100) {
@@ -100,7 +125,7 @@ fn flight_recorder_exports_valid_cross_thread_chrome_trace() {
     assert!(check.spans <= TRACE_RING_CAPACITY);
     assert!(check.spans > 0);
 
-    // Phase 4: reset clears events and drop counts.
+    // Phase 5: reset clears events and drop counts.
     trace::reset();
     assert_eq!(trace::events_dropped(), 0);
     let check = trace::validate_chrome_json(&trace::chrome_json()).expect("reset trace valid");

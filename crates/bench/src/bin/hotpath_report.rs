@@ -24,23 +24,15 @@
 //! back-to-back in blocks lets slow environmental drift (thermal
 //! throttling, frequency steps, cache pressure from a neighbouring job)
 //! land on whichever driver happens to run in the last block; the
-//! planner, always measured last, once read ~0.87x against the best
-//! static driver on the large scenario from block order alone.
-//! Round-robin spreads any drift evenly across all drivers.
+//! last-measured driver once read ~0.87x against an identical call on
+//! the large scenario from block order alone. Round-robin spreads any
+//! drift evenly across all drivers.
 //!
-//! The planner-parity gate compares the planner with the fastest static
-//! driver round by round — each round's ratio is that driver's burst
-//! minimum over the planner's — and gates the median over rounds. The
-//! planner's uniform plan calls the same `track_all_pruned` the
-//! `pruned` column times, so a best-of-rounds ratio only measured which
-//! of the two a neighbour's load happened to spare: full runs read 0.72x
-//! and 0.74x that way on a shared 2-vCPU VM.
-//!
-//! The `pruned` and `planner` columns time the pruned driver's
-//! row-banded sweep, so they depend on the CPU count: each scenario
-//! records the band count the driver chose (`pruned_bands`) and the
-//! document records `available_parallelism`. The `simd` column, the
-//! same driver unscreened, always runs one band.
+//! The `pruned` column times the pruned driver's row-banded sweep, so
+//! it depends on the CPU count: each scenario records the band count the
+//! driver chose (`pruned_bands`) and the document records
+//! `available_parallelism`. The `simd` column, the same driver
+//! unscreened, always runs one band.
 //!
 //! Usage: `hotpath_report [--small]`
 //!
@@ -52,9 +44,7 @@ use sma_bench::shifted_frames;
 use sma_core::fastpath::track_all_integral;
 use sma_core::motion::SmaFrames;
 use sma_core::sequential::{Region, SmaResult};
-use sma_core::{
-    track_all_planner, track_all_pruned, track_all_sequential, MotionModel, SmaConfig, SmaError,
-};
+use sma_core::{track_all_pruned, track_all_sequential, MotionModel, SmaConfig, SmaError};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -65,22 +55,20 @@ use std::time::Instant;
 /// environmental drift across all drivers.
 const BURST: usize = 3;
 
-/// Per driver, the minimum wall-clock seconds of each round's burst, in
-/// round order, measured interleaved: each round invokes every
-/// still-sampling driver [`BURST`] times back-to-back, so environmental
-/// drift is shared instead of charged to the last block (see module
-/// docs) while each sample still reflects a warmed driver. Per driver
-/// the sampling budget matches the old per-driver loop: at least 3
-/// invocations, then until 0.2 s of accumulated time or 50 invocations.
-/// A driver that stops sampling never resumes, so round `r` of every
-/// list is the same round.
-fn time_interleaved(drivers: &mut [Box<dyn FnMut() + '_>]) -> Vec<Vec<f64>> {
+/// Per driver, the best-of-rounds wall-clock seconds, measured
+/// interleaved: each round invokes every still-sampling driver
+/// [`BURST`] times back-to-back, so environmental drift is shared
+/// instead of charged to the last block (see module docs) while each
+/// sample still reflects a warmed driver. Per driver the sampling
+/// budget matches the old per-driver loop: at least 3 invocations, then
+/// until 0.2 s of accumulated time or 50 invocations.
+fn time_interleaved(drivers: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
     // Warm-up round (page-in, allocator steady state).
     for f in drivers.iter_mut() {
         f();
     }
     let n = drivers.len();
-    let mut bursts: Vec<Vec<f64>> = vec![Vec::new(); n];
+    let mut best = vec![f64::INFINITY; n];
     let mut spent = vec![0.0f64; n];
     let mut reps = vec![0usize; n];
     loop {
@@ -94,35 +82,17 @@ fn time_interleaved(drivers: &mut [Box<dyn FnMut() + '_>]) -> Vec<Vec<f64>> {
             if !sampling[i] {
                 continue;
             }
-            let mut burst = f64::INFINITY;
             for _ in 0..BURST {
                 let t = Instant::now();
                 f();
                 let dt = t.elapsed().as_secs_f64();
-                burst = burst.min(dt);
+                best[i] = best[i].min(dt);
                 spent[i] += dt;
                 reps[i] += 1;
             }
-            bursts[i].push(burst);
         }
     }
-    bursts
-}
-
-/// Best of rounds.
-fn best_of(bursts: &[f64]) -> f64 {
-    bursts.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Median of a non-empty sample.
-fn median(mut v: Vec<f64>) -> f64 {
-    v.sort_by(f64::total_cmp);
-    let m = v.len() / 2;
-    if v.len() % 2 == 1 {
-        v[m]
-    } else {
-        0.5 * (v[m - 1] + v[m])
-    }
+    best
 }
 
 struct Scenario {
@@ -141,10 +111,6 @@ struct Row {
     integral_seq: f64,
     simd_seq: f64,
     pruned_seq: f64,
-    planner: f64,
-    /// Per round, the fastest static driver's burst minimum over the
-    /// planner's, over the rounds both sampled.
-    planner_parity: Vec<f64>,
     /// Row bands the pruned driver split this scenario's interior into.
     pruned_bands: u64,
 }
@@ -169,16 +135,6 @@ impl Row {
     /// fewer candidate evaluations and fewer offset-plane builds).
     fn speedup_pruned(&self) -> f64 {
         self.simd_seq / self.pruned_seq
-    }
-
-    /// Adaptive planner vs the best static driver: the median over
-    /// rounds of [`Row::planner_parity`] (see module docs). The
-    /// planner's interior plan resolves to the fastest admitted family
-    /// and a uniform plan collapses to one wholesale driver call, so
-    /// this ratio should sit at ~1.0 — the gate allows a small slice of
-    /// timer jitter below parity, nothing structural.
-    fn speedup_planner(&self) -> f64 {
-        median(self.planner_parity.clone())
     }
 }
 
@@ -225,21 +181,9 @@ fn run_scenario(s: &Scenario) -> Row {
         Box::new(|| {
             black_box(track_all_pruned(black_box(&frames), &cfg, region)).expect("track");
         }),
-        Box::new(|| {
-            black_box(track_all_planner(black_box(&frames), &cfg, region)).expect("track");
-        }),
     ];
-    let bursts = time_interleaved(&mut drivers);
+    let t = time_interleaved(&mut drivers);
     drop(drivers);
-    let t: Vec<f64> = bursts.iter().map(|b| best_of(b)).collect();
-    // The fastest static driver (exact, integral, simd, pruned) against
-    // the planner, round by round.
-    let fastest = (0..4).fold(0, |a, i| if t[i] < t[a] { i } else { a });
-    let planner_parity = bursts[fastest]
-        .iter()
-        .zip(&bursts[4])
-        .map(|(s, p)| s / p)
-        .collect();
     Row {
         name: s.name,
         frame: s.side,
@@ -249,8 +193,6 @@ fn run_scenario(s: &Scenario) -> Row {
         integral_seq: t[1],
         simd_seq: t[2],
         pruned_seq: t[3],
-        planner: t[4],
-        planner_parity,
         pruned_bands: pruned_bands(&frames, &cfg, region),
     }
 }
@@ -361,9 +303,9 @@ fn main() {
         ]
     };
 
-    println!("SMA hot path: exact vs integral vs SIMD lane kernels vs pruned search vs planner");
+    println!("SMA hot path: exact vs integral vs SIMD lane kernels vs pruned search");
     println!(
-        "  {:<12} {:>7} {:>9} {:>11} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8} {:>8}",
+        "  {:<12} {:>7} {:>9} {:>11} {:>11} {:>11} {:>11} {:>8} {:>8} {:>8}",
         "scenario",
         "frame",
         "template",
@@ -371,18 +313,16 @@ fn main() {
         "integral",
         "simd",
         "pruned",
-        "planner",
         "int_x",
         "simd_x",
-        "prune_x",
-        "pln_x"
+        "prune_x"
     );
 
     let mut rows = Vec::new();
     for s in scenarios {
         let r = run_scenario(s);
         println!(
-            "  {:<12} {:>4}^2 {:>6}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>7.1}x {:>7.1}x {:>7.2}x {:>7.2}x",
+            "  {:<12} {:>4}^2 {:>6}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>7.1}x {:>7.1}x {:>7.2}x",
             r.name,
             r.frame,
             r.template_side,
@@ -390,11 +330,9 @@ fn main() {
             r.integral_seq,
             r.simd_seq,
             r.pruned_seq,
-            r.planner,
             r.speedup_integral(),
             r.speedup_simd(),
-            r.speedup_pruned(),
-            r.speedup_planner()
+            r.speedup_pruned()
         );
         rows.push(r);
     }
@@ -427,12 +365,10 @@ fn main() {
                 "      \"integral_sequential\": {:.6},\n",
                 "      \"simd_sequential\": {:.6},\n",
                 "      \"pruned_sequential\": {:.6},\n",
-                "      \"planner\": {:.6},\n",
                 "      \"pruned_bands\": {},\n",
                 "      \"speedup_integral_vs_exact_sequential\": {:.4},\n",
                 "      \"speedup_simd_vs_integral_sequential\": {:.4},\n",
-                "      \"speedup_pruned_vs_simd_sequential\": {:.4},\n",
-                "      \"speedup_planner_vs_best_static\": {:.4}\n",
+                "      \"speedup_pruned_vs_simd_sequential\": {:.4}\n",
                 "    }}{}\n"
             ),
             r.name,
@@ -443,12 +379,10 @@ fn main() {
             r.integral_seq,
             r.simd_seq,
             r.pruned_seq,
-            r.planner,
             r.pruned_bands,
             r.speedup_integral(),
             r.speedup_simd(),
             r.speedup_pruned(),
-            r.speedup_planner(),
             if i + 1 < rows.len() { "," } else { "" }
         ));
     }
@@ -492,28 +426,12 @@ fn main() {
     // pruning cutover (25 hypotheses), where the screen arms and reads
     // ~2.7x the exhaustive sweep; the pruned gate there stays a loose
     // no-regression bar against runner noise.
-    // The planner gate is a parity bar on every gated scenario: on
-    // these uniform interior scenarios the plan collapses to one
-    // wholesale call into the fastest admitted driver, so "never slower
-    // than the best static driver" means a ratio of ~1.0. The
-    // thresholds sit a few percent below 1.0 only to absorb the jitter
-    // left in the median over rounds — any structural slowdown (a planner
-    // that re-plans per pixel, or mosaics a uniform region) lands far
-    // below them. The large-scenario planner gate pins the ratio where
-    // a block-ordered measurement once under-read the planner at
-    // ~0.87x; round-robin interleaving keeps it honest.
     let mut checks: Vec<(&str, &str, f64, f64)> = Vec::new();
     if small_only {
         let g = &rows[0];
         checks.push(("small_t7", "integral vs exact", g.speedup_integral(), 3.0));
         checks.push(("small_t7", "simd vs integral", g.speedup_simd(), 1.2));
         checks.push(("small_t7", "pruned vs simd", g.speedup_pruned(), 0.8));
-        checks.push((
-            "small_t7",
-            "planner vs best static",
-            g.speedup_planner(),
-            0.9,
-        ));
     } else {
         let medium = rows
             .iter()
@@ -532,18 +450,6 @@ fn main() {
         checks.push(("medium_t21", "simd vs integral", medium.speedup_simd(), 3.0));
         checks.push(("medium_t21", "pruned vs simd", medium.speedup_pruned(), 1.5));
         checks.push(("large_t31", "pruned vs simd", large.speedup_pruned(), 2.0));
-        checks.push((
-            "medium_t21",
-            "planner vs best static",
-            medium.speedup_planner(),
-            0.95,
-        ));
-        checks.push((
-            "large_t31",
-            "planner vs best static",
-            large.speedup_planner(),
-            0.9,
-        ));
     }
     let mut ok = true;
     for (scenario, label, got, need) in checks {

@@ -20,7 +20,7 @@
 //! If `SMA_OBS` is unset the level defaults to `summary` so the report
 //! is useful out of the box; set `SMA_OBS=spans` or `trace` for live
 //! span printing. With `SMA_TRACE=PATH` the flight recorder captures
-//! the whole run — all six static drivers — and the report writes a
+//! the whole run — all five drivers — and the report writes a
 //! Chrome trace-event JSON to `PATH` (open in Perfetto), validates its
 //! structure, and prints per-stage p50/p95/p99 latency.
 //! Exits nonzero if any counter disagrees with the
@@ -29,7 +29,7 @@
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
 use sma_bench::wavy;
-use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
+use sma_core::fastpath::track_all_integral;
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
@@ -177,10 +177,6 @@ fn main() {
         let exact_runs = [("segmented", track_all_segmented(&frames, &cfg, region, 2))];
         let integral_runs = [
             ("fastpath", track_all_integral(&frames, &cfg, region)),
-            (
-                "fastpath_seg",
-                track_all_integral_segmented(&frames, &cfg, region, 2),
-            ),
             ("fastpath_pruned", track_all_pruned(&frames, &cfg, region)),
         ];
         let bounds = region.bounds(side, side).expect("non-empty interior");

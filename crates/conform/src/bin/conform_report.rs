@@ -366,9 +366,7 @@ fn print_matrix(verdicts: &[PairVerdict]) {
         DriverKind::Segmented => "seg",
         DriverKind::Maspar => "mas",
         DriverKind::Fastpath => "fst",
-        DriverKind::FastpathSegmented => "fsg",
         DriverKind::FastpathPruned => "prn",
-        DriverKind::PlannerAuto => "pln",
     };
     print!("  matrix:      ");
     for d in ALL_DRIVERS {

@@ -1,14 +1,14 @@
 //! The driver grid: every SMA driver variant the harness replays, plus
 //! the runtime obs/fault combinations each one must be insensitive to.
 //!
-//! Each driver has one reason to exist: `sequential` is the reference;
-//! `segmented` and `maspar` reproduce the paper's §4.1/§4.3 segmentation
-//! and the MP-2 mapping; `fastpath` and `fastpath_seg` are the scalar
+//! Each of the five drivers has one reason to exist: `sequential` is
+//! the reference; `segmented` and `maspar` reproduce the paper's
+//! §4.1/§4.3 segmentation and the MP-2 mapping; `fastpath` is the scalar
 //! moment-identity reference; `fastpath_pruned` is the production
-//! matcher; `planner_auto` is the adaptive planner over the others.
+//! matcher.
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
-use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
+use sma_core::fastpath::track_all_integral;
 use sma_core::maspar_driver::{track_on_maspar, MasparRunReport};
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
@@ -17,7 +17,7 @@ use sma_core::{track_all_pruned, track_all_sequential, SmaError};
 
 use crate::corpus::ConformCase;
 
-/// Hypothesis-row chunk used by the segmented drivers (2 of the
+/// Hypothesis-row chunk used by the segmented driver (2 of the
 /// `2 * nzs + 1` rows per segment — forces multi-segment checkpointing
 /// on every corpus case).
 pub const SEGMENT_Z_ROWS: usize = 2;
@@ -37,29 +37,20 @@ pub enum DriverKind {
     Maspar,
     /// Moment-plane integral-image fast path.
     Fastpath,
-    /// Fast path, hypothesis-row segmented.
-    FastpathSegmented,
     /// Pruned-search fast path on the SIMD lane kernels (amortized 6 x 6
     /// factorization, hoisted gradient planes, one resident offset
     /// plane): coarse-lattice candidate ordering plus admissible early
     /// termination where the screen pays, a raster sweep elsewhere.
     FastpathPruned,
-    /// Adaptive execution planner (`sma_core::plan`): tiles the region
-    /// and picks a per-tile strategy from the §4.3 memory budget and
-    /// border geometry. Registered with default knobs and no telemetry
-    /// feedback, so its plan is a pure function of the case.
-    PlannerAuto,
 }
 
 /// Every driver variant, in matrix order (the reference first).
-pub const ALL_DRIVERS: [DriverKind; 7] = [
+pub const ALL_DRIVERS: [DriverKind; 5] = [
     DriverKind::Sequential,
     DriverKind::Segmented,
     DriverKind::Maspar,
     DriverKind::Fastpath,
-    DriverKind::FastpathSegmented,
     DriverKind::FastpathPruned,
-    DriverKind::PlannerAuto,
 ];
 
 /// Numerical family of a driver. Members of one family share per-pixel
@@ -79,13 +70,6 @@ pub enum Family {
     /// band), but the plane construction order differs, so the
     /// *declared* cross-family contract stays ULP-bounded.
     Pruned,
-    /// The adaptive planner: mixes strategies from the other families
-    /// per tile, so it owes bit identity only to itself and carries the
-    /// ULP contract against everyone else. (With default knobs it is
-    /// empirically bit-identical to `Pruned` — the interior plan
-    /// resolves to the pruned driver and border tiles to the same exact
-    /// fallback — but the declared contract stays ULP-bounded.)
-    Adaptive,
 }
 
 impl DriverKind {
@@ -96,9 +80,7 @@ impl DriverKind {
             DriverKind::Segmented => "segmented",
             DriverKind::Maspar => "maspar",
             DriverKind::Fastpath => "fastpath",
-            DriverKind::FastpathSegmented => "fastpath_seg",
             DriverKind::FastpathPruned => "fastpath_pruned",
-            DriverKind::PlannerAuto => "planner_auto",
         }
     }
 
@@ -106,9 +88,8 @@ impl DriverKind {
     pub fn family(self) -> Family {
         match self {
             DriverKind::Sequential | DriverKind::Segmented | DriverKind::Maspar => Family::Exact,
-            DriverKind::Fastpath | DriverKind::FastpathSegmented => Family::Integral,
+            DriverKind::Fastpath => Family::Integral,
             DriverKind::FastpathPruned => Family::Pruned,
-            DriverKind::PlannerAuto => Family::Adaptive,
         }
     }
 
@@ -134,13 +115,7 @@ impl DriverKind {
                 run_maspar(case, ReadoutScheme::Raster).map(|report| report.result)
             }
             DriverKind::Fastpath => track_all_integral(frames, &case.cfg, case.region),
-            DriverKind::FastpathSegmented => {
-                track_all_integral_segmented(frames, &case.cfg, case.region, SEGMENT_Z_ROWS)
-            }
             DriverKind::FastpathPruned => track_all_pruned(frames, &case.cfg, case.region),
-            DriverKind::PlannerAuto => {
-                sma_core::plan::track_all_planner(frames, &case.cfg, case.region)
-            }
         }
     }
 }

@@ -5,12 +5,14 @@
 //! segmentation compute the *same* SMA answer as the sequential
 //! formulation. This crate turns that claim (and its modern extensions:
 //! the integral-image fast path and its pruned production matcher, the
-//! adaptive planner, the obs and fault layers) into enforced contracts:
+//! obs and fault layers) into enforced contracts over five drivers:
 //!
 //! * [`oracle`] — versioned, RLE-compressed golden snapshots of the
 //!   reference driver's flow/height/label planes for the fixed corpus;
 //! * [`corpus`] — the deterministic `satdata` scenes everything replays;
-//! * [`driver`] — the driver grid and the runtime obs/fault combos;
+//! * [`driver`] — the driver roster (each driver is the reference,
+//!   reproduces the paper, or is the production matcher) and the
+//!   runtime obs/fault combos;
 //! * [`diff`] — bit-level and ULP-distance comparison;
 //! * [`matrix`] — the pairwise equivalence matrix and its declared
 //!   contracts (bit-identical vs ULP-bounded);

@@ -208,17 +208,18 @@ mod tests {
 
     #[test]
     fn fastpath_crossing_pairs_are_ulp_contracts() {
-        assert!(matches!(
-            contract_for(D::Sequential, D::Fastpath),
-            Contract::UlpBounded(_)
-        ));
-        assert!(matches!(
-            contract_for(D::FastpathSegmented, D::Maspar),
-            Contract::UlpBounded(_)
-        ));
-        // Fast-path variants among themselves: bit-identical.
+        for exact in [D::Sequential, D::Segmented, D::Maspar] {
+            for fast in [D::Fastpath, D::FastpathPruned] {
+                assert!(
+                    matches!(contract_for(exact, fast), Contract::UlpBounded(_)),
+                    "{exact:?} vs {fast:?}"
+                );
+                assert_eq!(contract_for(exact, fast), contract_for(fast, exact));
+            }
+        }
+        // The scalar fast path owes itself bit identity.
         assert_eq!(
-            contract_for(D::Fastpath, D::FastpathSegmented),
+            contract_for(D::Fastpath, D::Fastpath),
             Contract::BitIdentical
         );
     }
@@ -244,29 +245,6 @@ mod tests {
             );
         }
         assert!(D::FastpathPruned.is_fastpath());
-    }
-
-    /// Pin the adaptive planner's declared contracts: its plan mixes
-    /// strategies from the other families per tile, so it owes bit
-    /// identity only to itself and carries the fast-path ULP bound
-    /// against every other driver.
-    #[test]
-    fn planner_auto_contracts_are_pinned() {
-        assert_eq!(
-            contract_for(D::PlannerAuto, D::PlannerAuto),
-            Contract::BitIdentical
-        );
-        for other in crate::driver::ALL_DRIVERS {
-            if other == D::PlannerAuto {
-                continue;
-            }
-            assert_eq!(
-                contract_for(D::PlannerAuto, other),
-                Contract::UlpBounded(FASTPATH_BOUND),
-                "vs {other:?}"
-            );
-        }
-        assert!(D::PlannerAuto.is_fastpath());
     }
 
     #[test]

@@ -13,14 +13,13 @@
 //! * brightness-affine invariance — NCC scores (and the winning
 //!   disparity) ignore gain/offset changes of either view;
 //! * segmentation independence — hypothesis-row chunk size is an
-//!   implementation detail: any `z_rows` gives bit-identical results
-//!   for both the exact precompute driver and the fast path;
+//!   implementation detail: any `z_rows` gives the exact precompute
+//!   driver bit-identical results;
 //! * PE-array-shape independence — the simulated MasPar answer does
 //!   not depend on the machine's processor-array edge.
 
 use proptest::prelude::*;
 use sma_conform::diff::diff_results;
-use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
 use sma_core::motion::SmaFrames;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::Region;
@@ -164,13 +163,6 @@ proptest! {
         prop_assert!(
             diff_results(&seq, &seg).bit_identical(),
             "exact segmented driver diverged at z_rows = {}", z_rows
-        );
-        let fast = track_all_integral(&frames, &cfg, region).expect("fastpath");
-        let fseg = track_all_integral_segmented(&frames, &cfg, region, z_rows)
-            .expect("fastpath segmented");
-        prop_assert!(
-            diff_results(&fast, &fseg).bit_identical(),
-            "fastpath segmented driver diverged at z_rows = {}", z_rows
         );
     }
 }

@@ -58,8 +58,7 @@ static INTERIOR_FAST: sma_obs::Counter = sma_obs::Counter::new("fastpath.interio
 /// Summed-area-table corner lookups (4 per window-sum, one window-sum
 /// for the static moments plus one per hypothesis offset).
 static CORNER_LOOKUPS: sma_obs::Counter = sma_obs::Counter::new("fastpath.corner_lookups");
-/// Per-offset moment planes built (one per hypothesis offset per
-/// segment).
+/// Per-offset moment planes built (one per hypothesis offset).
 static OFFSET_PLANES: sma_obs::Counter = sma_obs::Counter::new("fastpath.offset_planes_built");
 /// Pixels whose best and runner-up hypothesis errors were closer than
 /// the near-tie margin and were re-evaluated with the exact kernel.
@@ -290,39 +289,6 @@ pub fn track_all_integral(
     cfg: &SmaConfig,
     region: Region,
 ) -> Result<SmaResult, SmaError> {
-    track_integral_impl(frames, cfg, region, 2 * cfg.nzs + 1)
-}
-
-/// The segmented fast path: like [`crate::precompute::track_all_segmented`],
-/// hypothesis rows are processed `z_rows` at a time so only that
-/// segment's offset moment planes are resident; each segment is built,
-/// consumed and discarded, and the running best survives across
-/// segments. See `maspar_sim::memory` for the PE-side accounting of the
-/// moment-plane store.
-///
-/// # Errors
-/// [`SmaError::Config`] if `z_rows == 0`;
-/// [`sma_fault::GridError::EmptyRegion`] if the region is empty.
-pub fn track_all_integral_segmented(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-    z_rows: usize,
-) -> Result<SmaResult, SmaError> {
-    if z_rows == 0 {
-        return Err(SmaError::Config(
-            "segment must contain at least one hypothesis row".into(),
-        ));
-    }
-    track_integral_impl(frames, cfg, region, z_rows)
-}
-
-fn track_integral_impl(
-    frames: &SmaFrames,
-    cfg: &SmaConfig,
-    region: Region,
-    z_rows: usize,
-) -> Result<SmaResult, SmaError> {
     let _span = sma_obs::span("track_integral");
     let (w, h) = frames.dims();
     let bounds = region.bounds_checked(w, h)?;
@@ -388,90 +354,75 @@ fn track_integral_impl(
         StaticMoments::compute(frames)
     };
 
-    // Runner-up error per interior pixel, carried across segments so the
-    // near-tie decision is independent of how the hypothesis rows are
-    // chunked (the offsets are visited in the same ascending order
-    // regardless of `z_rows`). `-inf` marks a pixel that already holds
-    // an exact-kernel result (corrupt-sum re-route).
-    let mut second: Grid<f64> = Grid::filled(w, h, f64::INFINITY);
-
-    // Segment loop over hypothesis rows (z_rows = full search height for
-    // the unsegmented drivers: a single segment).
-    let mut row0 = -ns;
-    while row0 <= ns {
-        crate::cancel::checkpoint()?;
-        let row1 = (row0 + z_rows as isize - 1).min(ns);
-        let offsets: Vec<(isize, isize)> = (row0..=row1)
-            .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
-            .collect();
-        OFFSET_PLANES.add(offsets.len() as u64);
-        let _plane_span = sma_obs::span("offset_planes");
-        let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = offsets
+    // Every offset's moment plane is built up front and stays resident
+    // for the whole sweep.
+    crate::cancel::checkpoint()?;
+    let offsets: Vec<(isize, isize)> = (-ns..=ns)
+        .flat_map(|oy| (-ns..=ns).map(move |ox| (ox, oy)))
+        .collect();
+    OFFSET_PLANES.add(offsets.len() as u64);
+    let planes: Vec<MomentIntegral<OFFSET_CHANNELS>> = {
+        let _span = sma_obs::span("offset_planes");
+        offsets
             .iter()
             .map(|&(ox, oy)| offset_moments(frames, cfg, &stat, ox, oy))
-            .collect();
-        drop(_plane_span);
+            .collect()
+    };
 
-        let evaluate =
-            |x: usize, y: usize, running: MotionEstimate, runner: f64| -> (MotionEstimate, f64) {
-                let mut local_best = running;
-                let mut local_second = runner;
-                // 4 SAT corners for the static window-sum, 4 more per offset.
-                CORNER_LOOKUPS.add(4 * (1 + offsets.len()) as u64);
-                let s = stat.sat.window_sum(x, y, nt);
-                if !s.iter().all(|v| v.is_finite()) {
-                    // Corrupted moment data (hostile input that slipped past
-                    // quarantine): re-route the pixel through the exact
-                    // kernel, which rebuilds its sums from raw geometry.
-                    sma_fault::note_natural_degradation();
-                    return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
-                }
-                for (oi, &(ox, oy)) in offsets.iter().enumerate() {
-                    let t = planes[oi].window_sum(x, y, nt);
-                    if !t.iter().all(|v| v.is_finite()) {
-                        sma_fault::note_natural_degradation();
-                        return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
-                    }
-                    if let Some((params, error)) = solve_moments(&s, &t) {
-                        if error < local_best.error {
-                            local_second = local_best.error;
-                            let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
-                            let z0 = surface_delta(frames, x, y, rx, ry);
-                            local_best = MotionEstimate {
-                                displacement: Vec2::new(rx as f32, ry as f32),
-                                affine: LocalAffine::from_params(&params, rx as f64, ry as f64, z0),
-                                error,
-                                valid: true,
-                            };
-                        } else if error < local_second {
-                            local_second = error;
-                        }
-                    }
-                }
-                (local_best, local_second)
-            };
-
-        for &(x, y) in &interior {
-            let (est, sec) = evaluate(x, y, best.at(x, y), second.at(x, y));
-            best.set(x, y, est);
-            second.set(x, y, sec);
+    // One pixel's best estimate and runner-up error over every offset,
+    // in ascending raster order. A runner-up of `-inf` marks a pixel
+    // that already holds an exact-kernel result (corrupt-sum re-route).
+    let evaluate = |x: usize, y: usize| -> (MotionEstimate, f64) {
+        let mut local_best = MotionEstimate::invalid();
+        let mut local_second = f64::INFINITY;
+        // 4 SAT corners for the static window-sum, 4 more per offset.
+        CORNER_LOOKUPS.add(4 * (1 + offsets.len()) as u64);
+        let s = stat.sat.window_sum(x, y, nt);
+        if !s.iter().all(|v| v.is_finite()) {
+            // Corrupted moment data (hostile input that slipped past
+            // quarantine): re-route the pixel through the exact
+            // kernel, which rebuilds its sums from raw geometry.
+            sma_fault::note_natural_degradation();
+            return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
         }
-        // Segment's offset planes dropped here, exactly as on the PE.
-        row0 = row1 + 1;
-    }
+        for (oi, &(ox, oy)) in offsets.iter().enumerate() {
+            let t = planes[oi].window_sum(x, y, nt);
+            if !t.iter().all(|v| v.is_finite()) {
+                sma_fault::note_natural_degradation();
+                return (track_pixel(frames, cfg, x, y), f64::NEG_INFINITY);
+            }
+            if let Some((params, error)) = solve_moments(&s, &t) {
+                if error < local_best.error {
+                    local_second = local_best.error;
+                    let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);
+                    let z0 = surface_delta(frames, x, y, rx, ry);
+                    local_best = MotionEstimate {
+                        displacement: Vec2::new(rx as f32, ry as f32),
+                        affine: LocalAffine::from_params(&params, rx as f64, ry as f64, z0),
+                        error,
+                        valid: true,
+                    };
+                } else if error < local_second {
+                    local_second = error;
+                }
+            }
+        }
+        (local_best, local_second)
+    };
 
     // Near-tie guard: where the moment path's winning margin is inside
     // the noise band of its own error precision, the argmin is not
     // trustworthy — re-evaluate those pixels with the exact kernel so
     // the winner (and the whole estimate) matches the sequential
-    // reference by construction. The decision uses the globally best
-    // and runner-up errors, so it is identical for the unsegmented and
-    // segmented fast-path variants.
-    let ties: Vec<(usize, usize)> = interior
-        .iter()
-        .copied()
-        .filter(|&(x, y)| best.at(x, y).valid && near_tie(best.at(x, y).error, second.at(x, y)))
-        .collect();
+    // reference by construction.
+    let mut ties: Vec<(usize, usize)> = Vec::new();
+    for &(x, y) in &interior {
+        let (est, second) = evaluate(x, y);
+        if est.valid && near_tie(est.error, second) {
+            ties.push((x, y));
+        }
+        best.set(x, y, est);
+    }
     NEAR_TIE_REROUTE.add(ties.len() as u64);
     // Re-routed ties are ultimately served by the exact kernel, so they
     // land in both the near-tie density and exact-dispatch planes.
@@ -582,19 +533,6 @@ pub fn track_all_translation_only(
         estimates: best,
         region: bounds,
     })
-}
-
-/// Host-side bytes of one segment of the fast path's moment-plane store
-/// (`z_rows` hypothesis rows of per-offset planes, 8 f64 channels per
-/// pixel) plus the resident static store (12 f64 channels + 6 factor
-/// floats per pixel), for diagnostics alongside
-/// [`crate::precompute::segment_bytes`].
-pub fn moment_segment_bytes(frames: &SmaFrames, cfg: &SmaConfig, z_rows: usize) -> usize {
-    let (w, h) = frames.dims();
-    let per_offset = OFFSET_CHANNELS * 8;
-    let stat = (STATIC_CHANNELS + 6) * 8;
-    let offsets = z_rows * (2 * cfg.nzs + 1);
-    (offsets * per_offset + stat) * w * h
 }
 
 #[cfg(test)]
@@ -748,22 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn integral_drivers_agree_with_each_other() {
-        let cfg = SmaConfig::small_test(MotionModel::SemiFluid);
-        let f = frames_for_shift(1.0, 1.0, &cfg);
-        let region = Region::Interior { margin: 10 };
-        let seq = track_all_integral(&f, &cfg, region).expect("fastpath");
-        let seg = track_all_integral_segmented(&f, &cfg, region, 2).expect("fastpath seg");
-        for (x, y) in seq.region.pixels() {
-            assert_eq!(
-                seq.estimates.at(x, y),
-                seg.estimates.at(x, y),
-                "seg ({x},{y})"
-            );
-        }
-    }
-
-    #[test]
     fn fastpath_tracks_known_shift() {
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let f = frames_for_shift(2.0, -1.0, &cfg);
@@ -831,28 +753,6 @@ mod tests {
         for (x, y) in r.region.pixels() {
             assert!(!r.estimates.at(x, y).valid, "({x},{y})");
         }
-    }
-
-    #[test]
-    fn moment_store_accounting() {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(0.0, 0.0, &cfg);
-        let one = moment_segment_bytes(&f, &cfg, 1);
-        let all = moment_segment_bytes(&f, &cfg, 5);
-        // 5-wide search: one row is 5 offsets * 64 B + 144 B static.
-        assert_eq!(one, (5 * 64 + 18 * 8) * 30 * 30);
-        // Static store is resident across segments: totals differ by
-        // exactly the extra offset rows.
-        assert_eq!(all - one, 4 * 5 * 64 * 30 * 30);
-    }
-
-    #[test]
-    fn zero_segment_rejected() {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(0.0, 0.0, &cfg);
-        let err = track_all_integral_segmented(&f, &cfg, Region::Interior { margin: 10 }, 0)
-            .expect_err("z_rows = 0 must be rejected");
-        assert!(err.to_string().contains("at least one hypothesis row"));
     }
 
     #[test]

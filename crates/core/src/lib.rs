@@ -46,7 +46,7 @@
 //! * [`fastpath`] — O(1)-per-hypothesis matching: the normal equations
 //!   factor into moment planes whose summed-area tables answer every
 //!   tracked pixel's template sums in four corner lookups per moment
-//!   (the scalar moment-identity reference, plus its segmented variant);
+//!   (the scalar moment-identity reference);
 //! * [`pruned`] — the production matcher: one seed-first sweep over
 //!   the hypothesis offsets that rejects candidates by an admissible
 //!   coarse decimated-lattice lower bound on the hypothesis error,
@@ -59,9 +59,8 @@
 //!   offset plane;
 //! * [`timing`] — the calibrated workload/rate model that regenerates
 //!   the paper's Tables 2 and 4, Fig. 4 and the speed-up headlines;
-//! * [`plan`] — the adaptive execution planner: a per-tile strategy
-//!   picker over the drivers above, registered in the conformance
-//!   matrix as `planner_auto`.
+//! * [`plan`] — the production entry point,
+//!   [`plan::track_all_planner_with`], which calls [`pruned`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -84,9 +83,9 @@ pub mod timing;
 
 pub use affine::LocalAffine;
 pub use config::{MotionModel, SmaConfig};
-pub use fastpath::{track_all_integral, track_all_integral_segmented, track_all_translation_only};
+pub use fastpath::{track_all_integral, track_all_translation_only};
 pub use motion::{FrameArtifacts, MotionEstimate, SmaFrames};
-pub use plan::{track_all_planner, track_all_planner_with, ExecutionPlanner, PlannerKnobs};
+pub use plan::{track_all_planner_with, PlannerKnobs};
 pub use pruned::track_all_pruned;
 pub use sequential::track_all_sequential;
 pub use sma_fault::{GridError, LedgerSnapshot, MasParError, SmaError, StereoError};

@@ -13,7 +13,7 @@
 //!   they run the exact kernel, not an approximation.
 
 use proptest::prelude::*;
-use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
+use sma_core::fastpath::track_all_integral;
 use sma_core::sequential::{track_all_sequential, Region};
 use sma_core::{MotionModel, SmaConfig};
 use sma_grid::warp::translate;
@@ -124,21 +124,6 @@ proptest! {
         let fast = track_all_integral(&frames, &cfg, region).expect("fastpath");
         prop_assert!(assert_equivalent(&exact, &fast).is_ok(),
             "{:?}", assert_equivalent(&exact, &fast));
-    }
-
-    /// Both fast-path drivers agree with each other exactly (they share
-    /// the per-pixel assembly; segmentation must not perturb results).
-    #[test]
-    fn fastpath_drivers_identical(
-        seed in 0u64..40, z_rows in 1usize..=5
-    ) {
-        let (frames, cfg) = frames_for(MotionModel::Continuous, 1, -1, seed);
-        let region = Region::Interior { margin: 10 };
-        let seq = track_all_integral(&frames, &cfg, region).expect("fastpath");
-        let seg = track_all_integral_segmented(&frames, &cfg, region, z_rows).expect("fastpath seg");
-        for (x, y) in seq.region.pixels() {
-            prop_assert_eq!(seq.estimates.at(x, y), seg.estimates.at(x, y));
-        }
     }
 
     /// Border fallback: on a Full region, every pixel whose template

@@ -12,6 +12,7 @@
 //! * frames so small every pixel sits in the border band (the screen
 //!   never arms; the exact-fallback ring must still match);
 //! * zero-variance windows (singular systems, unscreenable pixels);
+//! * a block of non-finite input that preparation quarantines;
 //! * periodic scenes where whole families of offsets tie to the bit
 //!   (the skip threshold must keep every near-tie candidate alive and
 //!   the seed-first sweep must reproduce raster tie-breaking);
@@ -178,6 +179,27 @@ fn mixed_ties_and_flat_stripe_match_integral() {
     let f = shifted(&before, -1.0, 1.0, &cfg);
     assert_matches_integral(&f, &cfg, Region::Full, "mixed scene");
     assert_toggle_identity(&f, &cfg, Region::Full, "mixed scene");
+}
+
+/// A quarantined block: an 8 x 8 patch of NaN pixels that preparation
+/// repairs and masks. The repaired neighbourhood must leave the pruned
+/// driver bit-identical to the integral sweep and to its own unscreened
+/// run.
+#[test]
+fn quarantined_nan_block_matches_integral() {
+    let cfg = SmaConfig::small_test(MotionModel::Continuous);
+    let mut before = Grid::from_fn(28, 28, |x, y| {
+        (x as f32 * 0.37).sin() * (y as f32 * 0.23).cos()
+    });
+    for y in 8..16 {
+        for x in 8..16 {
+            before.set(x, y, f32::NAN);
+        }
+    }
+    let after = Grid::from_fn(28, 28, |x, y| before.at(x.saturating_sub(1), y));
+    let f = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
+    assert_matches_integral(&f, &cfg, Region::Full, "quarantined block");
+    assert_toggle_identity(&f, &cfg, Region::Full, "quarantined block");
 }
 
 /// Every bit of one estimate: displacement, the nine affine terms, the

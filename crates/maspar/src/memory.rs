@@ -122,64 +122,6 @@ impl MemoryBudget {
         self.total_bytes(2 * self.nzs + 1) <= self.pe_memory_bytes
     }
 
-    // --- Moment-plane (integral-image fast path) accounting -----------
-    //
-    // The fast path replaces the two-float template-mapping store with
-    // *moment planes*: per hypothesis offset, eight channels of A^T b /
-    // b^T b contributions per tracked pixel, plus a resident
-    // hypothesis-independent store of twelve A^T A channels and six raw
-    // factors. Summed-area tables hold one value per pixel per channel,
-    // so the footprint is the channel count times the layer count — the
-    // same §4.3 shape with a bigger per-offset constant (8 floats
-    // instead of 2) and a new resident term.
-
-    /// Per-offset moment channels of the fast path (6 for `A^T b`, 2 for
-    /// the `b^T b` terms).
-    pub const MOMENT_OFFSET_CHANNELS: usize = 8;
-
-    /// Resident hypothesis-independent channels (12 static `A^T A`
-    /// moments + 6 raw factors the offset planes are products of).
-    pub const MOMENT_STATIC_CHANNELS: usize = 18;
-
-    /// Bytes of the resident static moment store (per-pixel, independent
-    /// of hypothesis and segment).
-    pub fn static_moment_bytes(&self) -> usize {
-        Self::MOMENT_STATIC_CHANNELS * F32 * self.layers()
-    }
-
-    /// Bytes of the per-offset moment-plane store for `z_rows`
-    /// hypothesis rows (the segmented analog of
-    /// [`MemoryBudget::template_mapping_bytes`] for the fast path).
-    pub fn moment_plane_bytes(&self, z_rows: usize) -> usize {
-        Self::MOMENT_OFFSET_CHANNELS * F32 * z_rows * (2 * self.nzs + 1) * self.layers()
-    }
-
-    /// Total PE bytes of the fast path with `z_rows` hypothesis rows of
-    /// moment planes resident.
-    pub fn fastpath_total_bytes(&self, z_rows: usize) -> usize {
-        self.resident_state_bytes()
-            + self.static_moment_bytes()
-            + self.moment_plane_bytes(z_rows)
-            + self.working_buffer_bytes()
-            + Self::FIXED_OVERHEAD_BYTES
-    }
-
-    /// The largest fast-path segment size that fits the PE memory, or
-    /// `None` if even `Z = 1` does not fit.
-    pub fn fastpath_max_segment_rows(&self) -> Option<usize> {
-        let full = 2 * self.nzs + 1;
-        (1..=full)
-            .rev()
-            .find(|&z| self.fastpath_total_bytes(z) <= self.pe_memory_bytes)
-    }
-
-    /// Number of segments the fast path needs: `ceil((2 Nzs + 1) / Z)`.
-    /// `None` if the configuration cannot run at all.
-    pub fn fastpath_num_segments(&self) -> Option<usize> {
-        self.fastpath_max_segment_rows()
-            .map(|z| (2 * self.nzs + 1).div_ceil(z))
-    }
-
     // --- Streaming sequence-cache accounting ---------------------------
     //
     // A sequence run keeps *derived frame artifacts* (geometry fields,
@@ -331,80 +273,6 @@ mod tests {
         let s4 = mk(2).num_segments().unwrap(); // 4 layers
         let s16 = mk(4).num_segments().unwrap(); // 16 layers
         assert!(s16 >= s4);
-    }
-
-    #[test]
-    fn moment_store_is_four_times_template_store_plus_static() {
-        // 8 channels per offset vs the 2-float mapping store: the
-        // per-offset term is exactly 4x, and the static store adds a
-        // fixed 18 floats per layer.
-        let b = MemoryBudget {
-            xvr: 4,
-            yvr: 4,
-            nzs: 6,
-            nst: 2,
-            nss: 1,
-            pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
-        };
-        for z in 1..=13 {
-            assert_eq!(b.moment_plane_bytes(z), 4 * b.template_mapping_bytes(z));
-        }
-        assert_eq!(b.static_moment_bytes(), 18 * 4 * 16);
-    }
-
-    #[test]
-    fn fastpath_needs_more_segments_than_mapping_store() {
-        // The 23x23 search with 16 layers: the fatter per-offset store
-        // can only afford smaller (or equal) segments.
-        let b = MemoryBudget {
-            xvr: 4,
-            yvr: 4,
-            nzs: 11,
-            nst: 2,
-            nss: 1,
-            pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
-        };
-        let plain = b.max_segment_rows().expect("plain store fits segmented");
-        let fast = b
-            .fastpath_max_segment_rows()
-            .expect("fast path fits segmented");
-        assert!(fast <= plain, "fast {fast} vs plain {plain}");
-        assert!(b.fastpath_num_segments().unwrap() >= b.num_segments().unwrap());
-        assert!(b.fastpath_total_bytes(fast) <= GODDARD_PE_MEMORY_BYTES);
-    }
-
-    #[test]
-    fn fastpath_frederic_needs_segmentation() {
-        // Frederic's 13x13 search at 16 layers: 8 x 4 x 169 x 16 =
-        // 86528 B of moment planes — needs segmentation where the
-        // two-float store did not.
-        let b = MemoryBudget {
-            xvr: 4,
-            yvr: 4,
-            nzs: 6,
-            nst: 2,
-            nss: 1,
-            pe_memory_bytes: GODDARD_PE_MEMORY_BYTES,
-        };
-        assert_eq!(b.moment_plane_bytes(13), 86_528);
-        assert!(b.fastpath_total_bytes(13) > GODDARD_PE_MEMORY_BYTES);
-        let z = b.fastpath_max_segment_rows().unwrap();
-        assert!(z < 13);
-        assert!(b.fastpath_total_bytes(z) <= GODDARD_PE_MEMORY_BYTES);
-    }
-
-    #[test]
-    fn fastpath_impossible_budget_returns_none() {
-        let b = MemoryBudget {
-            xvr: 8,
-            yvr: 8,
-            nzs: 30,
-            nst: 2,
-            nss: 1,
-            pe_memory_bytes: 4 * 1024,
-        };
-        assert_eq!(b.fastpath_max_segment_rows(), None);
-        assert_eq!(b.fastpath_num_segments(), None);
     }
 
     #[test]

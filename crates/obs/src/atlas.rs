@@ -15,11 +15,11 @@
 //! outside the armed geometry are dropped silently, which lets tests
 //! with different scene sizes coexist with an armed atlas.
 //!
-//! This is the observed-quantity store the ROADMAP item-2 adaptive
-//! planner consumes: near-tie density and border fraction per tile
-//! decide where the exact kernel is worth scheduling, the dispatch
-//! planes record what actually ran, and quarantine sites flag input
-//! regions whose telemetry is untrustworthy.
+//! The planes are read by reports (`trace_report` renders them as
+//! heatmaps and checks them against the scalar counters): near-tie
+//! density and border fraction per tile show where the exact kernel
+//! ran, the dispatch planes record what actually ran, and quarantine
+//! sites flag input regions whose telemetry is untrustworthy.
 
 use crate::json::MetricsDoc;
 
@@ -310,30 +310,6 @@ impl AtlasSnapshot {
     /// Number of tiles with at least one event in one channel.
     pub fn tiles_nonzero(&self, ch: AtlasChannel) -> usize {
         self.plane(ch).iter().filter(|&&c| c > 0).count()
-    }
-
-    /// Events deposited into every atlas tile overlapping the inclusive
-    /// pixel rectangle `[x0, x1] x [y0, y1]`. The atlas stores per-tile
-    /// counts, so a partially overlapped tile contributes its whole
-    /// count — a deliberate conservative over-estimate for consumers
-    /// (the execution planner) steering by event density. Out-of-range
-    /// coordinates clamp to the grid; an inverted rectangle is empty.
-    pub fn rect_total(&self, ch: AtlasChannel, x0: usize, y0: usize, x1: usize, y1: usize) -> u64 {
-        if self.width == 0 || self.height == 0 || x0 > x1 || y0 > y1 || self.tile == 0 {
-            return 0;
-        }
-        let x0 = x0.min(self.width - 1);
-        let x1 = x1.min(self.width - 1);
-        let y0 = y0.min(self.height - 1);
-        let y1 = y1.min(self.height - 1);
-        let plane = self.plane(ch);
-        let mut sum = 0u64;
-        for ty in (y0 / self.tile)..=(y1 / self.tile) {
-            for tx in (x0 / self.tile)..=(x1 / self.tile) {
-                sum += plane[ty * self.tiles_x + tx];
-            }
-        }
-        sum
     }
 
     /// Render one channel as an ASCII heatmap (one character per tile,

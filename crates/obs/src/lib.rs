@@ -28,8 +28,8 @@
 //!   p50/p95/p99 latency built on the histogram buckets.
 //! * **Telemetry atlas** ([`atlas`]): per-tile spatial planes (near-tie
 //!   density, border fallback, exact/integral/pruned dispatch, quarantine
-//!   sites, per-frame cache hit/miss) feeding the adaptive-planner cost
-//!   model and the `trace_report` heatmaps.
+//!   sites, per-frame cache hit/miss) feeding the `trace_report`
+//!   heatmaps.
 //!
 //! Runtime verbosity is env-filtered via `SMA_OBS`:
 //!

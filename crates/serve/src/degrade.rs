@@ -6,16 +6,7 @@
 //! then to the translation-only Fcont driver (a strict subset of the
 //! hypothesis space — cheaper by the affine-refinement factor,
 //! comparable but not bit-identical output). Only past the bottom rung
-//! are pairs shed outright.
-//!
-//! Since the adaptive planner landed, a rung no longer hand-picks a
-//! driver enum: each level maps to a set of [`PlannerKnobs`] (top rung
-//! allows the SIMD lane kernels, one down forbids them, the bottom forces
-//! translation-only) and every attempt goes through
-//! [`sma_core::plan::track_all_planner_with`]. The planner resolves
-//! those knobs to the same drivers the ladder used to call directly, so
-//! output bits per rung are unchanged — but budget-driven segmentation
-//! and border handling now come along for free.
+//! are pairs shed outright. Each rung calls its own driver.
 //!
 //! Pressure is *byte* pressure: the tenant's fair-share cache shard
 //! relative to what a resident pair needs. That signal is fixed at
@@ -23,10 +14,12 @@
 //! scheduling — so a tenant's degrade level (and therefore its output
 //! bits) is reproducible run to run.
 
-use sma_core::plan::track_all_planner_with;
 use sma_core::sequential::Region;
 use sma_core::sequential::SmaResult;
-use sma_core::{PlannerKnobs, SmaConfig, SmaError, SmaFrames};
+use sma_core::{
+    track_all_integral, track_all_pruned, track_all_translation_only, SmaConfig, SmaError,
+    SmaFrames,
+};
 
 /// One rung of the degrade ladder, top first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,26 +63,10 @@ impl DegradeLevel {
         }
     }
 
-    /// The planner knobs this rung targets.
-    pub fn knobs(self) -> PlannerKnobs {
-        let base = PlannerKnobs::default();
-        match self {
-            DegradeLevel::Simd => base,
-            DegradeLevel::Integral => PlannerKnobs {
-                allow_simd: false,
-                ..base
-            },
-            DegradeLevel::TranslationOnly => PlannerKnobs {
-                translation_only: true,
-                ..base
-            },
-        }
-    }
-
-    /// Run this rung's plan.
+    /// Run this rung's driver.
     ///
     /// # Errors
-    /// Propagates the planner's error, including
+    /// Propagates the driver's error, including
     /// [`SmaError::DeadlineExceeded`] from a cancellation point.
     pub fn run(
         self,
@@ -97,7 +74,11 @@ impl DegradeLevel {
         cfg: &SmaConfig,
         region: Region,
     ) -> Result<SmaResult, SmaError> {
-        track_all_planner_with(frames, cfg, region, self.knobs())
+        match self {
+            DegradeLevel::Simd => track_all_pruned(frames, cfg, region),
+            DegradeLevel::Integral => track_all_integral(frames, cfg, region),
+            DegradeLevel::TranslationOnly => track_all_translation_only(frames, cfg, region),
+        }
     }
 }
 
@@ -163,15 +144,45 @@ mod tests {
     }
 
     #[test]
-    fn rungs_map_to_planner_knobs() {
-        // Top rung: SIMD lane kernels allowed.
-        let top = DegradeLevel::Simd.knobs();
-        assert!(top.allow_simd && !top.translation_only);
-        // One down: lane kernels forbidden, so the integral path plans.
-        let mid = DegradeLevel::Integral.knobs();
-        assert!(!mid.allow_simd && !mid.translation_only);
-        // Bottom: translation-only shedding mode.
-        assert!(DegradeLevel::TranslationOnly.knobs().translation_only);
+    fn rungs_run_their_drivers() {
+        use sma_core::MotionModel;
+        use sma_grid::Grid;
+
+        let cfg = SmaConfig::small_test(MotionModel::Continuous);
+        let before = Grid::from_fn(28, 28, |x, y| {
+            (x as f32 * 0.37).sin() * (y as f32 * 0.23).cos() + 0.01 * (x + 2 * y) as f32
+        });
+        let after = Grid::from_fn(28, 28, |x, y| before.at(x.saturating_sub(1), y));
+        let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
+        let region = Region::Interior {
+            margin: cfg.margin(),
+        };
+        let run = |level: DegradeLevel| level.run(&frames, &cfg, region).expect("rung");
+        let same_bits = |a: &SmaResult, b: &SmaResult, what: &str| {
+            assert_eq!(a.region, b.region, "{what}: region");
+            for (x, y) in a.region.pixels() {
+                let (ea, eb) = (a.estimates.at(x, y), b.estimates.at(x, y));
+                assert_eq!(ea, eb, "{what} at ({x},{y})");
+                assert_eq!(
+                    ea.error.to_bits(),
+                    eb.error.to_bits(),
+                    "{what} at ({x},{y})"
+                );
+            }
+        };
+        // The top two rungs differ in speed only.
+        same_bits(
+            &run(DegradeLevel::Simd),
+            &run(DegradeLevel::Integral),
+            "simd vs integral rung",
+        );
+        // The bottom rung is the translation-only driver.
+        let shed = track_all_translation_only(&frames, &cfg, region).expect("translation-only");
+        same_bits(
+            &run(DegradeLevel::TranslationOnly),
+            &shed,
+            "translation-only rung",
+        );
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //! [`sma_stream::StreamEngine`] replay of the same sequence because the
 //! service assembles pairs through the same code path
 //! ([`sma_stream::cached_frame_artifacts`] +
-//! [`SmaFrames::from_artifacts`]) and plans with the same
-//! [`crate::degrade::DegradeLevel::knobs`], which the execution planner
-//! resolves to the same drivers a solo run uses. Scheduling
+//! [`SmaFrames::from_artifacts`]) and matches with the same
+//! [`crate::degrade::DegradeLevel::run`] driver a solo run uses. Scheduling
 //! interleavings move *when* a pair runs, never *what* it computes;
 //! retries recompute pure functions; and a fault-stormed tenant is
 //! quarantined by its own circuit breaker without touching any other

@@ -60,10 +60,15 @@ fn run_driver(
     match name {
         "sequential" => track_all_sequential(frames, cfg, region),
         "fastpath" => track_all_integral(frames, cfg, region),
-        // Both names run the pruned driver, which at this report's
-        // 3 x 3 search takes its unscreened raster sweep over the SIMD
-        // lane kernels (the screen arms from 5 x 5).
-        "simd" | "pruned" => track_all_pruned(frames, cfg, region),
+        // The pruned driver with its screen disarmed: the exhaustive
+        // sweep over the SIMD lane kernels. Restores the armed default.
+        "simd" => {
+            sma_grid::prune::set_enabled(false);
+            let out = track_all_pruned(frames, cfg, region);
+            sma_grid::prune::set_enabled(true);
+            out
+        }
+        "pruned" => track_all_pruned(frames, cfg, region),
         other => panic!("unknown driver {other}"),
     }
 }
@@ -97,6 +102,7 @@ struct Scenario {
     name: &'static str,
     seq: SceneSequence,
     driver: &'static str,
+    cfg: SmaConfig,
     budget: Budget,
 }
 
@@ -120,7 +126,8 @@ impl Row {
     }
 }
 
-fn run_scenario(s: &Scenario, cfg: &SmaConfig) -> Row {
+fn run_scenario(s: &Scenario) -> Row {
+    let cfg = &s.cfg;
     let region = Region::Interior {
         margin: cfg.margin(),
     };
@@ -205,6 +212,9 @@ fn run_scenario(s: &Scenario, cfg: &SmaConfig) -> Row {
 fn main() {
     let small = std::env::args().any(|a| a == "--small");
     let cfg = report_cfg();
+    // The lane-kernel rows search 5 x 5, the smallest sweep at which the
+    // pruned driver arms its screen (`PRUNE_MIN_HYPOTHESES`).
+    let screen_cfg = SmaConfig { nzs: 2, ..cfg };
     let (side, medium_frames, short_frames) = if small { (48, 8, 5) } else { (64, 10, 6) };
 
     let scenarios = [
@@ -212,41 +222,47 @@ fn main() {
             name: "medium",
             seq: florida_thunderstorm_analog(side, medium_frames, 17),
             driver: "fastpath",
+            cfg,
             budget: Budget::Goddard,
         },
         Scenario {
             name: "medium_exact",
             seq: florida_thunderstorm_analog(side, short_frames, 17),
             driver: "sequential",
+            cfg,
             budget: Budget::Goddard,
         },
         Scenario {
             name: "short_luis",
             seq: hurricane_luis_analog(side, short_frames, 23),
             driver: "fastpath",
+            cfg,
             budget: Budget::Goddard,
         },
         // The lane-kernel matcher rides the same cache: the stream
         // engine hands each pair the identical prepared artifacts, so it
-        // must stay bit-identical to its own naive replay. At this 3 x 3
-        // search both rows run the pruned driver's raster sweep; the
-        // streamed screen is covered by `tests/stream_identity.rs`.
+        // must stay bit-identical to its own naive replay. `short_simd`
+        // runs the pruned driver with its screen disarmed, `short_pruned`
+        // streams the armed screen.
         Scenario {
             name: "short_simd",
             seq: florida_thunderstorm_analog(side, short_frames, 17),
             driver: "simd",
+            cfg: screen_cfg,
             budget: Budget::Goddard,
         },
         Scenario {
             name: "short_pruned",
             seq: florida_thunderstorm_analog(side, short_frames, 17),
             driver: "pruned",
+            cfg: screen_cfg,
             budget: Budget::Goddard,
         },
         Scenario {
             name: "tight_budget",
             seq: florida_thunderstorm_analog(side, medium_frames, 17),
             driver: "fastpath",
+            cfg,
             // 1.5 artifact sets: inserting frame t+1 evicts frame t.
             budget: Budget::TightFrames(3),
         },
@@ -268,7 +284,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for s in &scenarios {
-        let r = run_scenario(s, &cfg);
+        let r = run_scenario(s);
         println!(
             "  {:<14} {:<12} {:>6} {:>4}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>7.2}x {:>5}/{:<5}",
             r.name,

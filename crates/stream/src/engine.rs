@@ -24,8 +24,7 @@
 use std::sync::Arc;
 
 use maspar_sim::memory::{MemoryBudget, GODDARD_PE_MEMORY_BYTES};
-use sma_core::sequential::{Region, SmaResult};
-use sma_core::{FrameArtifacts, PlannerKnobs, SmaConfig, SmaError, SmaFrames};
+use sma_core::{FrameArtifacts, SmaConfig, SmaError, SmaFrames};
 use sma_fault::GridError;
 use sma_grid::pyramid::Pyramid;
 use sma_grid::{Grid, ValidityMask};
@@ -305,26 +304,6 @@ impl<'a> StreamEngine<'a> {
             }
         }
         Ok(out)
-    }
-
-    /// Drive the adaptive execution planner over every adjacent pair:
-    /// [`StreamEngine::run`] with
-    /// [`sma_core::plan::track_all_planner_with`] as the matcher. The
-    /// planner re-plans each pair independently (tiling and strategy
-    /// depend only on the frame geometry and knobs, so in practice every
-    /// pair of a sequence shares one plan), and prefetch pipelining
-    /// overlaps the next frame's preparation with the current solve
-    /// exactly as for a hand-picked driver.
-    ///
-    /// # Errors
-    /// Propagates preparation and planner failures.
-    pub fn run_planned(
-        &mut self,
-        region: Region,
-        knobs: PlannerKnobs,
-    ) -> Result<Vec<SmaResult>, SmaError> {
-        let cfg = self.cfg;
-        self.run(|_, pair| sma_core::plan::track_all_planner_with(pair, &cfg, region, knobs))
     }
 }
 

@@ -9,7 +9,7 @@
 //! may move a single output bit.
 
 use maspar_sim::machine::{MachineConfig, MasPar, ReadoutScheme};
-use sma_core::fastpath::{track_all_integral, track_all_integral_segmented};
+use sma_core::fastpath::track_all_integral;
 use sma_core::maspar_driver::track_on_maspar;
 use sma_core::precompute::track_all_segmented;
 use sma_core::sequential::{Region, SmaResult};
@@ -19,19 +19,13 @@ use sma_core::{
 use sma_satdata::{florida_thunderstorm_analog, SceneSequence};
 use sma_stream::{goddard_cache_budget, sequence_frames, StreamEngine};
 
-/// Hypothesis-row chunk for the segmented drivers (2 rows forces
+/// Hypothesis-row chunk for the segmented driver (2 rows forces
 /// multi-segment checkpointing at the test windows).
 const SEGMENT_Z_ROWS: usize = 2;
 
 /// The SmaFrames-consuming static drivers (the MasPar driver prepares
 /// internally from raw planes and is covered separately).
-const FRAME_DRIVERS: [&str; 5] = [
-    "sequential",
-    "segmented",
-    "fastpath",
-    "fastpath_seg",
-    "fastpath_pruned",
-];
+const FRAME_DRIVERS: [&str; 4] = ["sequential", "segmented", "fastpath", "fastpath_pruned"];
 
 fn run_driver(
     name: &str,
@@ -43,7 +37,6 @@ fn run_driver(
         "sequential" => track_all_sequential(frames, cfg, region),
         "segmented" => track_all_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
         "fastpath" => track_all_integral(frames, cfg, region),
-        "fastpath_seg" => track_all_integral_segmented(frames, cfg, region, SEGMENT_Z_ROWS),
         "fastpath_pruned" => track_all_pruned(frames, cfg, region),
         other => panic!("unknown driver {other}"),
     }

@@ -60,34 +60,5 @@ fn bench_hierarchical(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_ncc_fast(c: &mut Criterion) {
-    use sma_stereo::ncc_fast::NccPrecomp;
-    let seq = hurricane_frederic_analog(96, 2, 7);
-    let pair = seq.stereo_pair(0).unwrap();
-    let mut g = c.benchmark_group("ncc_fast_path");
-    g.bench_function("precompute_pm8_n3", |b| {
-        b.iter(|| {
-            black_box(NccPrecomp::build(
-                black_box(&pair.left),
-                &pair.right,
-                -8,
-                8,
-                3,
-            ))
-        })
-    });
-    let pre = NccPrecomp::build(&pair.left, &pair.right, -8, 8, 3);
-    g.bench_function("score_via_tables", |b| {
-        b.iter(|| black_box(pre.score(48, 48, 2)))
-    });
-    g.bench_function("score_reference", |b| {
-        b.iter(|| black_box(ncc_score(black_box(&pair.left), &pair.right, 48, 48, 2, 3)))
-    });
-    g.bench_function("best_via_tables", |b| {
-        b.iter(|| black_box(pre.best(48, 48)))
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_ncc, bench_hierarchical, bench_ncc_fast);
+criterion_group!(benches, bench_ncc, bench_hierarchical);
 criterion_main!(benches);

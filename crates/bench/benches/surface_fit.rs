@@ -1,12 +1,12 @@
 //! Surface-patch fitting: the paper-faithful per-pixel Gaussian
 //! elimination vs the precomputed-moment-matrix fast path (an ablation
 //! on the paper's choice to pay the full elimination per pixel), plus
-//! sequential vs Rayon whole-frame fitting.
+//! whole-frame fitting.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sma_bench::wavy;
 use sma_grid::BorderPolicy;
-use sma_surface::fit::{fit_all_par, fit_all_seq};
+use sma_surface::fit::fit_all_seq;
 use sma_surface::{fit_patch_ge, FitContext};
 use std::hint::black_box;
 
@@ -42,9 +42,6 @@ fn bench_whole_frame(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("sequential", |b| {
         b.iter(|| black_box(fit_all_seq(black_box(&z), 2, BorderPolicy::Clamp)))
-    });
-    g.bench_function("rayon", |b| {
-        b.iter(|| black_box(fit_all_par(black_box(&z), 2, BorderPolicy::Clamp)))
     });
     g.finish();
 }

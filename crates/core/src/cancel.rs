@@ -88,7 +88,8 @@ impl Drop for CancelGuard {
 }
 
 /// The token installed on this thread, if any. Drivers that fan work
-/// out (Rayon rows, scoped threads) capture it once and poll
+/// out (scoped threads such as the pruned driver's row bands) capture
+/// it once and poll
 /// [`CancelToken::is_cancelled`] inside the fan-out, where the
 /// thread-local of the spawning thread may not be visible.
 pub fn current() -> Option<CancelToken> {

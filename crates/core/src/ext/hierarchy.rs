@@ -148,13 +148,11 @@ fn track_with_prior(
     prior: &FlowField,
 ) -> Result<crate::sequential::SmaResult, SmaError> {
     use crate::motion::{evaluate_hypothesis, MotionEstimate};
-    use rayon::prelude::*;
     let (w, h) = frames.dims();
     let margin = cfg.margin();
     let bounds = Region::Interior { margin }.bounds_checked(w, h)?;
     let ns = cfg.nzs as isize;
     let rows: Vec<(usize, Vec<MotionEstimate>)> = (bounds.y0..=bounds.y1)
-        .into_par_iter()
         .map(|y| {
             let row = (bounds.x0..=bounds.x1)
                 .map(|x| {

@@ -188,7 +188,7 @@ fn fill_pass_lanes(
         if xs.is_empty() {
             continue;
         }
-        sma_grid::simd::note_row(xs.len());
+        sma_grid::simd::note_rows(1, xs.len());
         for chunk in xs.chunks(L) {
             let mut sum = [Vec2::ZERO; L];
             let mut n = [0u32; L];

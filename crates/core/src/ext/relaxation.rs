@@ -156,7 +156,6 @@ pub fn label_set_from_frames(
     cfg: &crate::config::SmaConfig,
     region: crate::sequential::Region,
 ) -> Result<LabelSet, sma_fault::SmaError> {
-    use rayon::prelude::*;
     let (w, h) = frames.dims();
     let bounds = region.bounds_checked(w, h)?;
     let ns = cfg.nzs as isize;
@@ -164,7 +163,6 @@ pub fn label_set_from_frames(
         .flat_map(|oy| (-ns..=ns).map(move |ox| Vec2::new(ox as f32, oy as f32)))
         .collect();
     let rows: Vec<Vec<Vec<f64>>> = (0..h)
-        .into_par_iter()
         .map(|y| {
             (0..w)
                 .map(|x| {

@@ -22,7 +22,6 @@
 use maspar_sim::machine::{MasPar, ReadoutScheme};
 use maspar_sim::memory::MemoryBudget;
 use maspar_sim::readout::ReadoutStats;
-use rayon::prelude::*;
 use sma_fault::{FaultSite, MasParError, SmaError};
 use sma_grid::Grid;
 
@@ -215,7 +214,7 @@ pub fn track_on_maspar(
             };
             if run_segment {
                 let tracked: Vec<((usize, usize), MotionEstimate)> = layer_pixels
-                    .par_iter()
+                    .iter()
                     .map(|&(x, y)| {
                         let mut samples = Vec::with_capacity(cfg.template_window().area());
                         let best = track_pixel_rows(

@@ -523,7 +523,7 @@ pub(crate) fn solve_samples(samples: &[TemplateSample]) -> Option<([f64; 6], f64
     }
     if sma_grid::simd::enabled() {
         const L: usize = sma_grid::simd::LANES;
-        sma_grid::simd::note_row(samples.len());
+        sma_grid::simd::note_rows(1, samples.len());
         let chunks = samples.len() / L;
         for c in 0..chunks {
             let blk = &samples[c * L..(c + 1) * L];

@@ -26,7 +26,6 @@
 //! complete." [`track_all_segmented`] implements exactly that loop and
 //! is bit-identical to the sequential baseline.
 
-use rayon::prelude::*;
 use sma_fault::SmaError;
 use sma_grid::{Grid, Vec2};
 
@@ -62,7 +61,7 @@ impl SegmentStore {
             .collect();
         SEGMENT_PLANES.add(offsets.len() as u64);
         let planes: Vec<Grid<(f64, f64)>> = offsets
-            .par_iter()
+            .iter()
             .map(|&(ox, oy)| {
                 Grid::from_fn(w, h, |x, y| {
                     mapped_gradient(frames, cfg, x as isize, y as isize, ox, oy)
@@ -158,9 +157,7 @@ pub fn track_all_segmented(
         // Hypothesis matching against this segment, all pixels.
         let updated: Vec<((usize, usize), MotionEstimate)> = bounds
             .pixels()
-            .collect::<Vec<_>>()
-            .par_iter()
-            .map(|&(x, y)| {
+            .map(|(x, y)| {
                 let mut local_best = best.at(x, y);
                 // Scratch buffer shared across this pixel's hypotheses.
                 let mut samples = Vec::with_capacity(cfg.template_window().area());

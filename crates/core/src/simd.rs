@@ -159,7 +159,7 @@ impl OffsetPlanes {
                     }
                 }
             }
-            sma_grid::simd::note_row(cols);
+            sma_grid::simd::note_rows(1, cols);
             // Row y of the image is padded row y + 1; its cells add the
             // running row sums to the finished cells of padded row y.
             let (done, rest) = self.cells.split_at_mut((y + 1) * w1);

@@ -71,11 +71,11 @@ fn interior_match_score(
     }
     const L: usize = sma_grid::simd::LANES;
     let side = (2 * n + 1) as usize;
+    sma_grid::simd::note_rows(side, side);
     let mut score = 0.0f64;
     for dv in -n..=n {
         let r0 = &disc_before.row((py + dv) as usize)[(px - n) as usize..][..side];
         let r1 = &disc_after.row((qy + dv) as usize)[(qx - n) as usize..][..side];
-        sma_grid::simd::note_row(side);
         let mut i = 0usize;
         while i + L <= side {
             let mut t = [0.0f64; L];

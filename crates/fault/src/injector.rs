@@ -4,7 +4,7 @@
 //! The decision draws from a ChaCha8 keystream seeded from the global
 //! seed, the site's salt, and the caller's key — never from shared RNG
 //! state — so the outcome is a pure function of the configuration and
-//! the decision's identity. Rayon may evaluate pixels in any order;
+//! the decision's identity. Threads may evaluate pixels in any order;
 //! the fault pattern is identical every run.
 
 use crate::ledger;

@@ -1,130 +1,12 @@
-//! Integral images (summed-area tables).
+//! Multi-channel summed-area tables.
 //!
-//! The ASA's correlation matcher evaluates window sums (means, variances,
-//! cross-products) at every pixel and disparity; a summed-area table
-//! turns each `(2n+1)^2` window sum into four lookups. This is a
-//! host-side optimization of the same flavor as the paper's §4.1
-//! precompute — trading memory for the elimination of redundant window
-//! work — and the `stereo` bench quantifies what it buys.
+//! The SMA fast path sums per-template-pixel moment contributions over
+//! every tracked pixel's template window; a summed-area table turns each
+//! `(2n+1)^2` window sum into four corner lookups. This is a host-side
+//! optimization of the same flavor as the paper's §4.1 precompute —
+//! trading memory for the elimination of redundant window work.
 
 use crate::grid::Grid;
-
-/// A summed-area table over an image: `table[(x, y)]` holds the sum of
-/// all pixels `(i, j)` with `i <= x`, `j <= y`, in `f64` (f32 prefix sums
-/// of large images lose precision).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IntegralImage {
-    table: Grid<f64>,
-}
-
-impl IntegralImage {
-    /// Build from an image in one pass.
-    pub fn build(img: &Grid<f32>) -> Self {
-        let (w, h) = img.dims();
-        let mut table = Grid::filled(w, h, 0.0f64);
-        for y in 0..h {
-            let mut row_sum = 0.0f64;
-            for x in 0..w {
-                row_sum += img.at(x, y) as f64;
-                let above = if y > 0 { table.at(x, y - 1) } else { 0.0 };
-                table.set(x, y, row_sum + above);
-            }
-        }
-        Self { table }
-    }
-
-    /// Build over the squared image (for variance computations).
-    pub fn build_squared(img: &Grid<f32>) -> Self {
-        Self::build(&img.map(|&v| v * v))
-    }
-
-    /// Build the sum and squared-sum tables in one fused pass over the
-    /// image: one traversal instead of two, and no intermediate squared
-    /// plane. Bit-identical to `(build(img), build_squared(img))` — each
-    /// prefix accumulates in the same order, and the square is the same
-    /// f32 product `v * v` widened to f64 afterwards.
-    pub fn build_pair_fused(img: &Grid<f32>) -> (Self, Self) {
-        crate::simd::note_row(img.len());
-        let (w, h) = img.dims();
-        let mut sum = Grid::filled(w, h, 0.0f64);
-        let mut sq = Grid::filled(w, h, 0.0f64);
-        for y in 0..h {
-            let src = img.row(y);
-            let mut row_s = 0.0f64;
-            let mut row_q = 0.0f64;
-            for (x, &v) in src.iter().enumerate() {
-                row_s += v as f64;
-                row_q += (v * v) as f64;
-                let (above_s, above_q) = if y > 0 {
-                    (sum.at(x, y - 1), sq.at(x, y - 1))
-                } else {
-                    (0.0, 0.0)
-                };
-                sum.set(x, y, row_s + above_s);
-                sq.set(x, y, row_q + above_q);
-            }
-        }
-        (Self { table: sum }, Self { table: sq })
-    }
-
-    /// Dimensions of the underlying image.
-    pub fn dims(&self) -> (usize, usize) {
-        self.table.dims()
-    }
-
-    /// Sum over the inclusive rectangle `[x0, x1] x [y0, y1]`, clipped to
-    /// the image.
-    ///
-    /// # Panics
-    /// Panics if `x0 > x1` or `y0 > y1`.
-    pub fn rect_sum(&self, x0: usize, y0: usize, x1: usize, y1: usize) -> f64 {
-        assert!(x0 <= x1 && y0 <= y1, "degenerate rectangle");
-        let (w, h) = self.table.dims();
-        let x1 = x1.min(w - 1);
-        let y1 = y1.min(h - 1);
-        let a = self.table.at(x1, y1);
-        let b = if x0 > 0 {
-            self.table.at(x0 - 1, y1)
-        } else {
-            0.0
-        };
-        let c = if y0 > 0 {
-            self.table.at(x1, y0 - 1)
-        } else {
-            0.0
-        };
-        let d = if x0 > 0 && y0 > 0 {
-            self.table.at(x0 - 1, y0 - 1)
-        } else {
-            0.0
-        };
-        a - b - c + d
-    }
-
-    /// Sum over the `(2n+1)^2` window centered at `(cx, cy)`, clipped to
-    /// the image (clipped windows sum fewer pixels; see
-    /// [`IntegralImage::window_area`]).
-    pub fn window_sum(&self, cx: usize, cy: usize, n: usize) -> f64 {
-        let x0 = cx.saturating_sub(n);
-        let y0 = cy.saturating_sub(n);
-        self.rect_sum(x0, y0, cx + n, cy + n)
-    }
-
-    /// Number of in-range pixels of the window centered at `(cx, cy)`.
-    pub fn window_area(&self, cx: usize, cy: usize, n: usize) -> usize {
-        let (w, h) = self.table.dims();
-        let x0 = cx.saturating_sub(n);
-        let y0 = cy.saturating_sub(n);
-        let x1 = (cx + n).min(w - 1);
-        let y1 = (cy + n).min(h - 1);
-        (x1 - x0 + 1) * (y1 - y0 + 1)
-    }
-
-    /// Mean over the (clipped) window centered at `(cx, cy)`.
-    pub fn window_mean(&self, cx: usize, cy: usize, n: usize) -> f64 {
-        self.window_sum(cx, cy, n) / self.window_area(cx, cy, n) as f64
-    }
-}
 
 /// A summed-area table over `K` channels at once: one prefix-sum pass
 /// over a `[f64; K]`-valued plane, after which any rectangular sum of
@@ -231,83 +113,41 @@ mod tests {
         s
     }
 
+    /// The single-channel table of `g`.
+    fn table(g: &Grid<f32>) -> MomentIntegral<1> {
+        MomentIntegral::<1>::from_fn(g.width(), g.height(), |x, y| [g.at(x, y) as f64])
+    }
+
+    /// In-range pixels of the `(2n+1)^2` window centered at `(cx, cy)`,
+    /// as the window sum of an all-ones plane.
+    fn window_area(g: &Grid<f32>, cx: usize, cy: usize, n: usize) -> f64 {
+        MomentIntegral::<1>::from_fn(g.width(), g.height(), |_, _| [1.0]).window_sum(cx, cy, n)[0]
+    }
+
     #[test]
     fn rect_sums_match_brute_force() {
         let g = img();
-        let it = IntegralImage::build(&g);
+        let it = table(&g);
         for (x0, y0, x1, y1) in [(0, 0, 8, 6), (2, 1, 5, 4), (3, 3, 3, 3), (0, 2, 8, 2)] {
-            assert!((it.rect_sum(x0, y0, x1, y1) - brute_sum(&g, x0, y0, x1, y1)).abs() < 1e-9);
+            assert!((it.rect_sum(x0, y0, x1, y1)[0] - brute_sum(&g, x0, y0, x1, y1)).abs() < 1e-9);
         }
     }
 
     #[test]
     fn window_sums_clip_at_borders() {
         let g = img();
-        let it = IntegralImage::build(&g);
+        let it = table(&g);
         // Corner window 5x5 centered at (0, 0): only 3x3 pixels exist.
-        assert_eq!(it.window_area(0, 0, 2), 9);
-        assert!((it.window_sum(0, 0, 2) - brute_sum(&g, 0, 0, 2, 2)).abs() < 1e-9);
+        assert_eq!(window_area(&g, 0, 0, 2), 9.0);
+        assert!((it.window_sum(0, 0, 2)[0] - brute_sum(&g, 0, 0, 2, 2)).abs() < 1e-9);
         // Interior window has full area.
-        assert_eq!(it.window_area(4, 3, 2), 25);
-    }
-
-    #[test]
-    fn window_mean_of_constant() {
-        let g = Grid::filled(8, 8, 3.25f32);
-        let it = IntegralImage::build(&g);
-        for &(x, y) in &[(0usize, 0usize), (4, 4), (7, 7)] {
-            assert!((it.window_mean(x, y, 2) - 3.25).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn squared_table_gives_variance() {
-        let g = img();
-        let it = IntegralImage::build(&g);
-        let it2 = IntegralImage::build_squared(&g);
-        // var = E[x^2] - E[x]^2 over an interior window.
-        let n = it.window_area(4, 3, 2) as f64;
-        let mean = it.window_mean(4, 3, 2);
-        let var = it2.window_sum(4, 3, 2) / n - mean * mean;
-        // Brute force.
-        let mut bv = 0.0;
-        for y in 1..=5 {
-            for x in 2..=6 {
-                bv += (g.at(x, y) as f64 - mean).powi(2);
-            }
-        }
-        bv /= n;
-        assert!((var - bv).abs() < 1e-9);
-    }
-
-    #[test]
-    fn fused_pair_is_bit_identical_to_separate_builds() {
-        for (w, h) in [(1usize, 1usize), (7, 3), (9, 7), (16, 16), (33, 5)] {
-            let g = Grid::from_fn(w, h, |x, y| ((x * 13 + y * 7) % 11) as f32 * 0.75 - 2.0);
-            let (fs, fq) = IntegralImage::build_pair_fused(&g);
-            let ss = IntegralImage::build(&g);
-            let sq = IntegralImage::build_squared(&g);
-            for y in 0..h {
-                for x in 0..w {
-                    assert_eq!(
-                        fs.rect_sum(0, 0, x, y).to_bits(),
-                        ss.rect_sum(0, 0, x, y).to_bits(),
-                        "sum ({x},{y}) of {w}x{h}"
-                    );
-                    assert_eq!(
-                        fq.rect_sum(0, 0, x, y).to_bits(),
-                        sq.rect_sum(0, 0, x, y).to_bits(),
-                        "sq ({x},{y}) of {w}x{h}"
-                    );
-                }
-            }
-        }
+        assert_eq!(window_area(&g, 4, 3, 2), 25.0);
     }
 
     #[test]
     #[should_panic(expected = "degenerate rectangle")]
     fn inverted_rect_rejected() {
-        let it = IntegralImage::build(&img());
+        let it = table(&img());
         let _ = it.rect_sum(5, 0, 2, 3);
     }
 
@@ -318,7 +158,7 @@ mod tests {
         // off-by-one site. Exercise all four borders with a full-size
         // (unclipped) window and check against brute force.
         let g = img(); // 9 x 7
-        let it = IntegralImage::build(&g);
+        let it = table(&g);
         let n = 2usize;
         let cases = [
             (n, 3, "left"),                 // x0 == 0 exactly
@@ -329,10 +169,10 @@ mod tests {
             (8 - n, 6 - n, "bottom-right"), // both high edges flush
         ];
         for (cx, cy, which) in cases {
-            assert_eq!(it.window_area(cx, cy, n), 25, "{which} window clipped");
+            assert_eq!(window_area(&g, cx, cy, n), 25.0, "{which} window clipped");
             let want = brute_sum(&g, cx - n, cy - n, cx + n, cy + n);
             assert!(
-                (it.window_sum(cx, cy, n) - want).abs() < 1e-9,
+                (it.window_sum(cx, cy, n)[0] - want).abs() < 1e-9,
                 "{which} flush window at ({cx},{cy})"
             );
         }
@@ -340,17 +180,6 @@ mod tests {
 
     #[test]
     fn one_by_one_grid() {
-        let g = Grid::filled(1, 1, 4.5f32);
-        let it = IntegralImage::build(&g);
-        let it2 = IntegralImage::build_squared(&g);
-        // Every window on a 1x1 image clips to the single pixel.
-        for n in 0..3usize {
-            assert_eq!(it.window_area(0, 0, n), 1);
-            assert!((it.window_sum(0, 0, n) - 4.5).abs() < 1e-12);
-            assert!((it.window_mean(0, 0, n) - 4.5).abs() < 1e-12);
-            assert!((it2.window_sum(0, 0, n) - 4.5 * 4.5).abs() < 1e-9);
-        }
-        assert!((it.rect_sum(0, 0, 0, 0) - 4.5).abs() < 1e-12);
         let mi = MomentIntegral::<2>::from_fn(1, 1, |_, _| [1.0, -2.0]);
         assert_eq!(mi.window_sum(0, 0, 2), [1.0, -2.0]);
     }
@@ -360,15 +189,15 @@ mod tests {
         // Degenerate aspect ratios hit the y-only / x-only boundary
         // branches in isolation.
         let row = Grid::from_fn(7, 1, |x, _| x as f32);
-        let it = IntegralImage::build(&row);
-        assert!((it.rect_sum(0, 0, 6, 0) - 21.0).abs() < 1e-12);
-        assert!((it.window_sum(3, 0, 1) - 9.0).abs() < 1e-12); // 2+3+4
-        assert_eq!(it.window_area(3, 0, 1), 3);
-        assert_eq!(it.window_area(0, 0, 1), 2); // clipped left
+        let it = table(&row);
+        assert!((it.rect_sum(0, 0, 6, 0)[0] - 21.0).abs() < 1e-12);
+        assert!((it.window_sum(3, 0, 1)[0] - 9.0).abs() < 1e-12); // 2+3+4
+        assert_eq!(window_area(&row, 3, 0, 1), 3.0);
+        assert_eq!(window_area(&row, 0, 0, 1), 2.0); // clipped left
         let col = Grid::from_fn(1, 7, |_, y| y as f32);
-        let ic = IntegralImage::build(&col);
-        assert!((ic.window_sum(0, 3, 1) - 9.0).abs() < 1e-12);
-        assert_eq!(ic.window_area(0, 6, 1), 2); // clipped bottom
+        let ic = table(&col);
+        assert!((ic.window_sum(0, 3, 1)[0] - 9.0).abs() < 1e-12);
+        assert_eq!(window_area(&col, 0, 6, 1), 2.0); // clipped bottom
     }
 
     #[test]
@@ -399,12 +228,18 @@ mod tests {
     }
 
     #[test]
-    fn moment_integral_window_matches_single_channel_table() {
+    fn moment_integral_window_matches_brute_force() {
         let g = img();
-        let single = IntegralImage::build(&g);
-        let multi = MomentIntegral::<1>::from_fn(9, 7, |x, y| [g.at(x, y) as f64]);
+        let multi = table(&g);
         for &(cx, cy, n) in &[(0usize, 0usize, 2usize), (4, 3, 2), (8, 6, 1), (4, 3, 0)] {
-            assert!((multi.window_sum(cx, cy, n)[0] - single.window_sum(cx, cy, n)).abs() < 1e-9);
+            let want = brute_sum(
+                &g,
+                cx.saturating_sub(n),
+                cy.saturating_sub(n),
+                cx + n,
+                cy + n,
+            );
+            assert!((multi.window_sum(cx, cy, n)[0] - want).abs() < 1e-9);
         }
     }
 

@@ -13,16 +13,15 @@
 //!   `(2N+1) x (2N+1)` windows the paper's every step is phrased in;
 //! * [`filter`] — separable convolution, Gaussian and binomial smoothing,
 //!   central-difference gradients;
-//! * [`integral`] — summed-area tables for O(1) window sums (the NCC
-//!   fast path);
+//! * [`integral`] — multi-channel summed-area tables for O(1) window
+//!   sums (the SMA fast path's moment planes);
 //! * [`prune`] — decimated-lattice summed-area tables and 3 x 3
 //!   quadratic-minimum kernels backing the pruned-search drivers'
 //!   admissible candidate bounds;
 //! * [`pyramid`] — the multi-resolution image pyramid used by the ASA
 //!   stereo substrate's coarse-to-fine search;
 //! * [`validity`] — NaN/Inf input quarantine with per-pixel validity
-//!   masks that propagate through the pyramid (the fault-tolerance
-//!   layer's input gate);
+//!   masks (the fault-tolerance layer's input gate);
 //! * [`warp`] — bilinear sampling and warping by disparity / flow, used to
 //!   align stereo views and advect synthetic scenes;
 //! * [`flow`] — dense motion ([`flow::FlowField`]) and sparse tracer
@@ -53,7 +52,7 @@ pub mod window;
 pub use border::BorderPolicy;
 pub use flow::{FlowField, FlowStats, Vec2};
 pub use grid::Grid;
-pub use integral::{IntegralImage, MomentIntegral};
+pub use integral::MomentIntegral;
 pub use validity::{quarantine, ValidityMask};
 pub use window::{CenteredWindow, WindowBounds};
 

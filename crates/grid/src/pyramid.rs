@@ -8,8 +8,6 @@
 //! [`Pyramid::build`] smooths with the 5-tap binomial kernel and decimates
 //! by 2 per level (Burt–Adelson Gaussian pyramid).
 
-use std::sync::Arc;
-
 use crate::border::BorderPolicy;
 use crate::filter::binomial_smooth;
 use crate::grid::Grid;
@@ -17,59 +15,30 @@ use crate::warp::sample_bilinear;
 
 static PYRAMID_BUILDS: sma_obs::Counter = sma_obs::Counter::new("grid.pyramid.builds");
 static PYRAMID_LEVELS: sma_obs::Counter = sma_obs::Counter::new("grid.pyramid.levels");
-/// Bytes of pyramid levels *allocated* by construction (decimated
-/// levels, plus level 0 only when the caller handed in a plain
-/// reference that had to be copied).
+/// Bytes of pyramid levels allocated by construction (the copied level
+/// 0 plus every decimated level).
 static PYRAMID_BYTES_OWNED: sma_obs::Counter = sma_obs::Counter::new("grid.pyramid.bytes_owned");
-/// Bytes of level-0 planes *shared* instead of copied
-/// ([`Pyramid::build_arc`]) — the allocation the Arc refactor saves.
-static PYRAMID_BYTES_SHARED: sma_obs::Counter = sma_obs::Counter::new("grid.pyramid.bytes_shared");
 
 /// A Gaussian image pyramid; `levels[0]` is full resolution.
-///
-/// Levels are `Arc`-shared: [`Pyramid::build_arc`] stores the caller's
-/// full-resolution plane without copying it (level 0 is by far the
-/// largest level — more than 3/4 of the pyramid's footprint), and
-/// cloning a pyramid copies pointers only.
 #[derive(Debug, Clone)]
 pub struct Pyramid {
-    levels: Vec<Arc<Grid<f32>>>,
+    levels: Vec<Grid<f32>>,
 }
 
 impl Pyramid {
     /// Build an `n_levels` pyramid over `img`. Level `k` has dimensions
     /// `ceil(w / 2^k) x ceil(h / 2^k)`. Construction stops early if a level
     /// would fall below 2 pixels on either axis, so the result may have
-    /// fewer than `n_levels` levels.
-    ///
-    /// Level 0 is copied from `img`; callers that already hold the plane
-    /// behind an `Arc` should use [`Pyramid::build_arc`], which shares
-    /// it instead.
+    /// fewer than `n_levels` levels. Level 0 is a copy of `img`.
     ///
     /// # Panics
     /// Panics if `n_levels == 0` or the image is empty.
     pub fn build(img: &Grid<f32>, n_levels: usize) -> Self {
-        PYRAMID_BYTES_OWNED.add((img.len() * std::mem::size_of::<f32>()) as u64);
-        Self::build_levels(Arc::new(img.clone()), n_levels)
-    }
-
-    /// [`Pyramid::build`] from an `Arc`-shared full-resolution plane:
-    /// level 0 is the shared plane itself, so the largest level is never
-    /// copied. The streaming artifact cache hands its per-frame planes
-    /// in this way.
-    ///
-    /// # Panics
-    /// Panics if `n_levels == 0` or the image is empty.
-    pub fn build_arc(img: Arc<Grid<f32>>, n_levels: usize) -> Self {
-        PYRAMID_BYTES_SHARED.add((img.len() * std::mem::size_of::<f32>()) as u64);
-        Self::build_levels(img, n_levels)
-    }
-
-    fn build_levels(img: Arc<Grid<f32>>, n_levels: usize) -> Self {
         assert!(n_levels > 0, "pyramid needs at least one level");
         assert!(!img.is_empty(), "pyramid of empty image");
         let _span = sma_obs::span("pyramid_build");
-        let mut levels = vec![img];
+        PYRAMID_BYTES_OWNED.add((img.len() * std::mem::size_of::<f32>()) as u64);
+        let mut levels = vec![img.clone()];
         while levels.len() < n_levels {
             let prev = &levels[levels.len() - 1];
             if prev.width() < 4 || prev.height() < 4 {
@@ -77,7 +46,7 @@ impl Pyramid {
             }
             let next = downsample(prev);
             PYRAMID_BYTES_OWNED.add((next.len() * std::mem::size_of::<f32>()) as u64);
-            levels.push(Arc::new(next));
+            levels.push(next);
         }
         PYRAMID_BUILDS.incr();
         PYRAMID_LEVELS.add(levels.len() as u64);
@@ -97,18 +66,10 @@ impl Pyramid {
         &self.levels[k]
     }
 
-    /// Level `k` as a shared handle (pointer copy, no pixel copy).
-    ///
-    /// # Panics
-    /// Panics if `k` is out of range.
-    pub fn level_arc(&self, k: usize) -> Arc<Grid<f32>> {
-        Arc::clone(&self.levels[k])
-    }
-
     /// Iterate from coarsest to finest — the order coarse-to-fine search
     /// visits levels.
     pub fn coarse_to_fine(&self) -> impl Iterator<Item = (usize, &Grid<f32>)> {
-        self.levels.iter().map(Arc::as_ref).enumerate().rev()
+        self.levels.iter().enumerate().rev()
     }
 }
 

@@ -29,11 +29,12 @@ static LANES_USED: sma_obs::Counter = sma_obs::Counter::new("simd.lanes_used");
 /// Elements processed by the portable scalar tails (row length mod 8).
 static SCALAR_TAIL: sma_obs::Counter = sma_obs::Counter::new("simd.scalar_tail");
 
-/// Record the lane/tail split of one `len`-element kernel row.
+/// Record the lane/tail split of `rows` kernel rows of `len` elements
+/// each, in one add per counter.
 #[inline]
-pub fn note_row(len: usize) {
-    LANES_USED.add((len / LANES) as u64);
-    SCALAR_TAIL.add((len % LANES) as u64);
+pub fn note_rows(rows: usize, len: usize) {
+    LANES_USED.add((rows * (len / LANES)) as u64);
+    SCALAR_TAIL.add((rows * (len % LANES)) as u64);
 }
 
 /// Toggle state: 0 = uninitialized (consult `SMA_SIMD`), 1 = off, 2 = on.
@@ -80,31 +81,6 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// `out[i] = a[i] * b[i]`, 8-wide chunks with a scalar tail. Lane
-/// products are independent, so this is bit-identical to the scalar
-/// loop trivially.
-///
-/// # Panics
-/// Panics if the slice lengths differ.
-#[inline]
-pub fn mul_into(a: &[f32], b: &[f32], out: &mut [f32]) {
-    assert!(
-        a.len() == b.len() && a.len() == out.len(),
-        "length mismatch"
-    );
-    note_row(a.len());
-    let chunks = a.len() / LANES;
-    for c in 0..chunks {
-        let o = c * LANES;
-        for l in 0..LANES {
-            out[o + l] = a[o + l] * b[o + l];
-        }
-    }
-    for i in chunks * LANES..a.len() {
-        out[i] = a[i] * b[i];
-    }
-}
-
 /// Fused smooth-and-decimate by 2, bit-identical to
 /// `binomial_smooth(img, Reflect)` sampled at even pixels (the scalar
 /// [`crate::pyramid::downsample`]): the row convolution is evaluated
@@ -142,7 +118,7 @@ pub fn downsample_fused(img: &Grid<f32>) -> Grid<f32> {
             dst[x2] = acc;
         }
         if hi > lo {
-            note_row(hi - lo);
+            note_rows(1, hi - lo);
             let mut x2 = lo;
             while x2 + LANES <= hi {
                 let mut acc = [0.0f32; LANES];
@@ -187,7 +163,7 @@ pub fn downsample_fused(img: &Grid<f32>) -> Grid<f32> {
             tmp.row(reflect(yc + 2, h)),
         ];
         let dst = out.row_mut(y2);
-        note_row(w2);
+        note_rows(1, w2);
         let chunks = w2 / LANES;
         for c in 0..chunks {
             let o = c * LANES;
@@ -224,19 +200,6 @@ mod tests {
         assert!(!enabled());
         set_enabled(true);
         assert!(enabled());
-    }
-
-    #[test]
-    fn mul_into_matches_scalar_at_awkward_lengths() {
-        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 31] {
-            let a: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin() * 3.0).collect();
-            let b: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos() - 0.5).collect();
-            let mut out = vec![0.0f32; n];
-            mul_into(&a, &b, &mut out);
-            for i in 0..n {
-                assert_eq!(out[i].to_bits(), (a[i] * b[i]).to_bits(), "n={n} i={i}");
-            }
-        }
     }
 
     #[test]

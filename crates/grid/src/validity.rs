@@ -7,25 +7,15 @@
 //! plane — each non-finite pixel is replaced by the mean of its finite
 //! 8-neighbors (or 0 when fully surrounded by bad pixels) — and returns
 //! a [`ValidityMask`] recording which pixels were repaired so
-//! downstream consumers can discount them. The mask propagates through
-//! the pyramid via [`ValidityMask::downsample`]: a coarse pixel is
-//! valid only if every fine pixel it draws on was valid.
+//! downstream consumers can discount them.
 //!
 //! On a clean plane [`quarantine`] touches nothing and returns the
 //! input unchanged — zero-fault runs stay bit-identical.
-
-use std::sync::Arc;
 
 use crate::grid::Grid;
 
 /// Count of non-finite pixels repaired across all quarantine passes.
 static QUARANTINED: sma_obs::Counter = sma_obs::Counter::new("grid.validity.quarantined");
-/// Bytes of mask-pyramid levels allocated (downsampled levels, plus a
-/// copied level 0 when built from a plain reference).
-static MASK_BYTES_OWNED: sma_obs::Counter = sma_obs::Counter::new("grid.validity.bytes_owned");
-/// Bytes of level-0 masks shared instead of copied
-/// ([`ValidityMask::pyramid_arc`]).
-static MASK_BYTES_SHARED: sma_obs::Counter = sma_obs::Counter::new("grid.validity.bytes_shared");
 
 /// A per-pixel validity bitmap paired with a plane of the same shape.
 #[derive(Debug, Clone, PartialEq)]
@@ -76,24 +66,6 @@ impl ValidityMask {
         self.mask.iter().all(|&v| v)
     }
 
-    /// Whether the whole `(2n+1) x (2n+1)` window centered at `(x, y)`
-    /// (clamped at the borders) is valid — the check drivers use before
-    /// trusting a window sum over repaired data.
-    pub fn window_valid(&self, x: usize, y: usize, n: usize) -> bool {
-        let (w, h) = self.mask.dims();
-        let ni = n as isize;
-        for dy in -ni..=ni {
-            for dx in -ni..=ni {
-                let cx = (x as isize + dx).clamp(0, w as isize - 1) as usize;
-                let cy = (y as isize + dy).clamp(0, h as isize - 1) as usize;
-                if !self.mask.at(cx, cy) {
-                    return false;
-                }
-            }
-        }
-        true
-    }
-
     /// Merge with another mask of the same shape: a pixel is valid only
     /// if valid in both.
     ///
@@ -105,55 +77,6 @@ impl ValidityMask {
         ValidityMask {
             mask: Grid::from_fn(w, h, |x, y| self.mask.at(x, y) && other.mask.at(x, y)),
         }
-    }
-
-    /// Decimate by 2 to match [`crate::pyramid::downsample`]'s index
-    /// mapping (`ceil(w/2) x ceil(h/2)`, even source indices). The
-    /// binomial smoothing mixes each coarse pixel from a 5x5 fine
-    /// neighborhood, so a coarse pixel is valid only if that whole
-    /// (clamped) neighborhood was — conservative propagation.
-    pub fn downsample(&self) -> ValidityMask {
-        let (w, h) = self.dims();
-        let w2 = w.div_ceil(2);
-        let h2 = h.div_ceil(2);
-        ValidityMask {
-            mask: Grid::from_fn(w2, h2, |x, y| self.window_valid(2 * x, 2 * y, 2)),
-        }
-    }
-
-    /// The mask for every pyramid level (`levels[0]` = this mask),
-    /// matching a [`crate::pyramid::Pyramid`] of `n_levels` built on the
-    /// paired plane (the same early-stop rule applies). Level 0 is a
-    /// copy of `self`; callers that already hold the mask behind an
-    /// `Arc` should use [`ValidityMask::pyramid_arc`], which shares it.
-    pub fn pyramid(&self, n_levels: usize) -> Vec<Arc<ValidityMask>> {
-        let (w, h) = self.dims();
-        MASK_BYTES_OWNED.add((w * h) as u64);
-        Self::pyramid_levels(Arc::new(self.clone()), n_levels)
-    }
-
-    /// [`ValidityMask::pyramid`] from a shared full-resolution mask:
-    /// level 0 is the shared mask itself, never copied — the analog of
-    /// [`crate::pyramid::Pyramid::build_arc`] for validity planes.
-    pub fn pyramid_arc(this: &Arc<ValidityMask>, n_levels: usize) -> Vec<Arc<ValidityMask>> {
-        let (w0, h0) = this.dims();
-        MASK_BYTES_SHARED.add((w0 * h0) as u64);
-        Self::pyramid_levels(Arc::clone(this), n_levels)
-    }
-
-    fn pyramid_levels(level0: Arc<ValidityMask>, n_levels: usize) -> Vec<Arc<ValidityMask>> {
-        let mut levels = vec![level0];
-        while levels.len() < n_levels {
-            let prev = &levels[levels.len() - 1];
-            let (w, h) = prev.dims();
-            if w < 4 || h < 4 {
-                break;
-            }
-            let next = prev.downsample();
-            MASK_BYTES_OWNED.add((next.dims().0 * next.dims().1) as u64);
-            levels.push(Arc::new(next));
-        }
-        levels
     }
 }
 
@@ -271,47 +194,6 @@ mod tests {
         let (out, _, _) = quarantine(&img);
         assert_eq!(out.at(2, 2), 4.0);
         assert_eq!(out.at(3, 2), 4.0);
-    }
-
-    #[test]
-    fn window_valid_checks_neighborhood() {
-        let mut img = Grid::filled(10, 10, 1.0f32);
-        img.set(5, 5, f32::NAN);
-        let (_, mask, _) = quarantine(&img);
-        assert!(!mask.window_valid(4, 4, 1));
-        assert!(!mask.window_valid(5, 5, 0));
-        assert!(mask.window_valid(2, 2, 1));
-        assert!(!mask.window_valid(7, 7, 2));
-        assert!(mask.window_valid(8, 8, 1));
-    }
-
-    #[test]
-    fn downsample_is_conservative_and_shape_matched() {
-        let mut img = Grid::filled(16, 16, 1.0f32);
-        img.set(6, 6, f32::NAN);
-        let (clean, mask, _) = quarantine(&img);
-        let down = mask.downsample();
-        let coarse = crate::pyramid::downsample(&clean);
-        assert_eq!(down.dims(), coarse.dims());
-        // Coarse pixel (3, 3) samples fine (6, 6): invalid.
-        assert!(!down.is_valid(3, 3));
-        // Far corner untouched by the 5x5 support of (6, 6).
-        assert!(down.is_valid(0, 0));
-        assert!(down.is_valid(7, 7));
-    }
-
-    #[test]
-    fn pyramid_masks_match_pyramid_levels() {
-        let mut img = Grid::from_fn(32, 32, |x, y| (x + y) as f32);
-        img.set(10, 10, f32::NAN);
-        let (clean, mask, _) = quarantine(&img);
-        let pyr = crate::pyramid::Pyramid::build(&clean, 4);
-        let masks = mask.pyramid(4);
-        assert_eq!(masks.len(), pyr.num_levels());
-        for (k, m) in masks.iter().enumerate() {
-            assert_eq!(m.dims(), pyr.level(k).dims(), "level {k}");
-        }
-        assert!(!masks[1].is_valid(5, 5));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 use sma_grid::filter::binomial_smooth;
 use sma_grid::pyramid::downsample;
 use sma_grid::simd;
-use sma_grid::{BorderPolicy, Grid, IntegralImage};
+use sma_grid::{BorderPolicy, Grid};
 
 /// Deterministic pseudo-random f32 from a seed and position (full
 /// dynamic range without flushing to zero, no RNG state needed).
@@ -25,19 +25,6 @@ fn textured(w: usize, h: usize, seed: u64) -> Grid<f32> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// `mul_into` is exactly the elementwise product at every length,
-    /// including 0, sub-lane lengths and lengths with a scalar tail.
-    #[test]
-    fn mul_into_matches_scalar_product(len in 0usize..70, seed in 0u64..1000) {
-        let a: Vec<f32> = (0..len).map(|i| val(seed, i)).collect();
-        let b: Vec<f32> = (0..len).map(|i| val(seed ^ 0xabcd, i)).collect();
-        let mut out = vec![0.0f32; len];
-        simd::mul_into(&a, &b, &mut out);
-        for i in 0..len {
-            prop_assert_eq!(out[i].to_bits(), (a[i] * b[i]).to_bits(), "index {}", i);
-        }
-    }
 
     /// The fused downsample (row/column convolution only at surviving
     /// even indices) is bit-identical to smooth-then-decimate.
@@ -85,43 +72,6 @@ proptest! {
             for x in 0..w2 {
                 prop_assert_eq!(scalar.at(x, y).to_bits(), lanes.at(x, y).to_bits());
             }
-        }
-    }
-
-    /// The fused sum/squared-sum table pair answers every rectangle with
-    /// the same bits as separately built tables.
-    #[test]
-    fn fused_integral_pair_matches_separate_builds(
-        w in 1usize..40,
-        h in 1usize..40,
-        seed in 0u64..1000,
-    ) {
-        let img = textured(w, h, seed);
-        let (fs, fq) = IntegralImage::build_pair_fused(&img);
-        let sum = IntegralImage::build(&img);
-        let sq = IntegralImage::build_squared(&img);
-        // Every anchored rectangle plus a diagonal band of interior ones.
-        for y in 0..h {
-            for x in 0..w {
-                prop_assert_eq!(
-                    fs.rect_sum(0, 0, x, y).to_bits(),
-                    sum.rect_sum(0, 0, x, y).to_bits()
-                );
-                prop_assert_eq!(
-                    fq.rect_sum(0, 0, x, y).to_bits(),
-                    sq.rect_sum(0, 0, x, y).to_bits()
-                );
-            }
-        }
-        for k in 0..w.min(h) {
-            prop_assert_eq!(
-                fs.rect_sum(k / 2, k / 2, k, k).to_bits(),
-                sum.rect_sum(k / 2, k / 2, k, k).to_bits()
-            );
-            prop_assert_eq!(
-                fq.rect_sum(k / 2, k / 2, k, k).to_bits(),
-                sq.rect_sum(k / 2, k / 2, k, k).to_bits()
-            );
         }
     }
 }

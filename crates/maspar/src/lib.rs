@@ -22,7 +22,7 @@
 //! | The assembled machine facade | [`machine`] |
 //!
 //! The simulator executes *lockstep* plural operations over the PE array
-//! (functionally exact, parallelized over host cores with Rayon) while a
+//! (functionally exact, executed on the calling host thread) while a
 //! [`cost::CostLedger`] charges every operation to the published MP-2
 //! bandwidth/throughput figures. Timing tables (paper Tables 2 and 4) are
 //! regenerated from the ledger, not from host wall-clock — the host is a

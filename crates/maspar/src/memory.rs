@@ -124,9 +124,9 @@ impl MemoryBudget {
 
     // --- Streaming sequence-cache accounting ---------------------------
     //
-    // A sequence run keeps *derived frame artifacts* (geometry fields,
-    // validity pyramids, moment tables) alive across adjacent pairs so
-    // frame t is prepared once, not twice. That cache competes for the
+    // A sequence run keeps *derived frame artifacts* (quarantined
+    // planes, validity masks, geometry fields, discriminants) alive
+    // across adjacent pairs so frame t is prepared once, not twice. That cache competes for the
     // same machine memory the §4.3 model budgets per PE: whatever a PE
     // does not need for its resident state, segmented template store and
     // working buffers is slack, and the aggregate slack across the PE

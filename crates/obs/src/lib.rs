@@ -12,8 +12,8 @@
 //!
 //! * **Spans** ([`span()`]): hierarchical wall-clock timers. Guards push a
 //!   name onto a thread-local stack; on drop the `/`-joined path is
-//!   aggregated into a process-global registry, so timings from Rayon
-//!   workers and explicit threads land in the same tree.
+//!   aggregated into a process-global registry, so timings from every
+//!   thread land in the same tree.
 //! * **Metrics** ([`metrics::Counter`], [`metrics::HighWater`],
 //!   [`metrics::Histogram`]): statically-declared atomics that register
 //!   themselves on first touch. Counting only happens when the runtime

@@ -16,10 +16,10 @@
 //! assert!(spans.iter().any(|s| s.path == "pipeline/matching"));
 //! ```
 //!
-//! The registry is process-global and thread-aware: every thread (Rayon
-//! workers included) keeps its own nesting stack, and all of them
-//! aggregate by path into one table, so a span entered from eight
-//! workers shows up once with `calls = 8`. Guards must drop in LIFO
+//! The registry is process-global and thread-aware: every thread (pool
+//! and row-band workers included) keeps its own nesting stack, and all
+//! of them aggregate by path into one table, so a span entered from
+//! eight workers shows up once with `calls = 8`. Guards must drop in LIFO
 //! order — the natural consequence of binding them to scopes.
 
 #[cfg(feature = "enabled")]

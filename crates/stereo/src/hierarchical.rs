@@ -8,7 +8,6 @@
 //! up-projected coarse estimate; the coarsest level carries the full
 //! search burden where the image (and the disparity) is smallest.
 
-use rayon::prelude::*;
 use sma_grid::pyramid::{upsample_to, Pyramid};
 use sma_grid::{BorderPolicy, Grid};
 
@@ -48,8 +47,8 @@ impl Default for MatchParams {
 
 /// Dense disparity between a rectified pair by coarse-to-fine correlation.
 ///
-/// Rows are processed in parallel with Rayon; results are deterministic
-/// (per-pixel work is independent).
+/// Each level is matched in raster order; per-pixel work is
+/// independent, so the result does not depend on the visit order.
 ///
 /// # Panics
 /// Panics if the images have different shapes or `levels == 0`.
@@ -112,27 +111,18 @@ fn refine_level(
     params: MatchParams,
 ) -> Grid<f32> {
     let (w, h) = left.dims();
-    let rows: Vec<Vec<f32>> = (0..h)
-        .into_par_iter()
-        .map(|y| {
-            (0..w)
-                .map(|x| {
-                    let p = prior.at(x, y);
-                    let center = p.round() as isize;
-                    let m =
-                        best_disparity_pruned(left, right, x, y, center, range, params.template_n);
-                    if m.score >= params.min_score {
-                        // Keep the sub-pixel fraction of the prior when the
-                        // refinement only confirms the integer estimate.
-                        m.disparity
-                    } else {
-                        p
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    Grid::from_vec(w, h, rows.into_iter().flatten().collect())
+    Grid::from_fn(w, h, |x, y| {
+        let p = prior.at(x, y);
+        let center = p.round() as isize;
+        let m = best_disparity_pruned(left, right, x, y, center, range, params.template_n);
+        if m.score >= params.min_score {
+            // Keep the sub-pixel fraction of the prior when the
+            // refinement only confirms the integer estimate.
+            m.disparity
+        } else {
+            p
+        }
+    })
 }
 
 /// Consistency check: warp `right` by the disparity and report the RMS

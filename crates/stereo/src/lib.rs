@@ -30,12 +30,10 @@ pub mod coupled;
 pub mod geometry;
 pub mod hierarchical;
 pub mod ncc;
-pub mod ncc_fast;
 pub mod ncc_pruned;
 
 pub use asa::{Asa, AsaConfig};
 pub use geometry::SatelliteGeometry;
 pub use hierarchical::match_hierarchical;
 pub use ncc::{best_disparity, ncc_score};
-pub use ncc_fast::{NccPrecomp, ViewTables};
 pub use ncc_pruned::best_disparity_pruned;

@@ -12,13 +12,13 @@ use sma_grid::{BorderPolicy, Grid};
 /// Minimum template variance for a meaningful correlation score; flatter
 /// (textureless) templates return [`NEUTRAL_SCORE`] (no evidence).
 ///
-/// Shared with the integral-image path in [`crate::ncc_fast`] so both
-/// paths classify the same windows as textureless — the conformance
-/// harness relies on the two paths agreeing on the neutral branch.
+/// Shared with the pruned search in [`crate::ncc_pruned`], whose
+/// variance bracket around this threshold decides when a window must
+/// take the reference's neutral branch.
 pub const MIN_VARIANCE: f64 = 1e-8;
 
 /// Score reported for windows with no correlation evidence (textureless,
-/// or numerically degenerate). Shared by both NCC paths.
+/// or numerically degenerate).
 pub const NEUTRAL_SCORE: f64 = 0.0;
 
 /// Zero-mean NCC between the `(2n+1)^2` template centered at `(x, y)` in
@@ -194,6 +194,20 @@ mod tests {
         let img = textured(16, 16);
         assert_eq!(ncc_score(&flat, &img, 8, 8, 0, 2), 0.0);
         assert_eq!(ncc_score(&img, &flat, 8, 8, 0, 2), 0.0);
+    }
+
+    #[test]
+    fn zero_variance_scores_neutral_at_every_disparity() {
+        // One flat view (zero variance) against one textured view, both
+        // ways round: every candidate disparity takes the neutral branch
+        // and returns the shared constant, not a score that merely
+        // happens to be zero.
+        let flat = Grid::filled(32, 32, 2.0f32);
+        let img = textured(32, 32);
+        for d in -2isize..=2 {
+            assert_eq!(ncc_score(&flat, &img, 16, 16, d, 3), NEUTRAL_SCORE, "d={d}");
+            assert_eq!(ncc_score(&img, &flat, 16, 16, d, 3), NEUTRAL_SCORE, "d={d}");
+        }
     }
 
     #[test]

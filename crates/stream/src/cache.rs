@@ -2,28 +2,26 @@
 //!
 //! On an N-frame sequence every interior frame participates in two
 //! adjacent pairs, so its derived planes — quarantined inputs, geometry
-//! field, discriminant, validity, NCC view tables, image pyramids — are
-//! worth keeping alive across pairs instead of recomputing per pair.
-//! [`ArtifactCache`] holds them keyed by `(frame id, kind)`, with every
-//! plane `Arc`-shared so a cache hit is a pointer copy.
+//! field, discriminant, validity — are worth keeping alive across pairs
+//! instead of recomputing per pair. [`ArtifactCache`] holds one
+//! [`FrameArtifacts`] set per frame, keyed by frame id, with every plane
+//! `Arc`-shared so a cache hit is a pointer copy.
 //!
 //! Residency is budgeted against the paper's §4.3 memory model: the
 //! byte limit is normally derived from
 //! [`maspar_sim::memory::MemoryBudget::stream_cache_bytes`] — the
 //! aggregate per-PE slack left once the segmented run is resident.
-//! Inserting past the budget evicts least-recently-used entries first;
-//! an entry larger than the whole budget is never admitted (the caller
-//! keeps its own `Arc`, so correctness is unaffected — the entry just
-//! cannot be reused). The resident total therefore never exceeds the
-//! budget, which the high-water gauge and a regression test assert.
+//! Inserting past the budget evicts least-recently-used sets first; a
+//! set larger than the whole budget is never admitted (the caller keeps
+//! its own `Arc`, so correctness is unaffected — the set just cannot be
+//! reused). The resident total therefore never exceeds the budget,
+//! which the high-water gauge and a regression test assert.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use sma_core::{FrameArtifacts, SmaConfig, SmaError};
-use sma_grid::pyramid::Pyramid;
-use sma_grid::{Grid, ValidityMask};
-use sma_stereo::ViewTables;
+use sma_grid::Grid;
 
 static CACHE_HITS: sma_obs::Counter = sma_obs::Counter::new("stream.cache_hits");
 static CACHE_MISSES: sma_obs::Counter = sma_obs::Counter::new("stream.cache_misses");
@@ -32,80 +30,9 @@ static PLANES_EVICTED: sma_obs::Counter = sma_obs::Counter::new("stream.planes_e
 static CACHE_BYTES_HIGH_WATER: sma_obs::HighWater =
     sma_obs::HighWater::new("stream.cache_bytes_high_water");
 
-/// Which derived artifact of a frame an entry holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ArtifactKind {
-    /// The [`FrameArtifacts`] set (quarantined planes, geometry,
-    /// discriminant, validity).
-    Frame,
-    /// Per-view NCC sum/squared-sum tables ([`ViewTables`]).
-    NccTables,
-    /// Gaussian pyramid of the intensity plane (all levels; level `k`
-    /// is reachable without copying via `Pyramid::level_arc`).
-    IntensityPyramid,
-    /// Validity-mask pyramid matching [`ArtifactKind::IntensityPyramid`].
-    ValidityPyramid,
-}
-
-/// One cached artifact. Every variant is cheap to clone (`Arc`s inside).
-#[derive(Debug, Clone)]
-pub enum CachedArtifact {
-    /// A full [`FrameArtifacts`] set.
-    Frame(Arc<FrameArtifacts>),
-    /// NCC per-view tables.
-    NccTables(ViewTables),
-    /// Intensity pyramid.
-    IntensityPyramid(Pyramid),
-    /// Validity-mask pyramid.
-    ValidityPyramid(Vec<Arc<ValidityMask>>),
-}
-
-impl CachedArtifact {
-    /// The kind tag of this artifact.
-    pub fn kind(&self) -> ArtifactKind {
-        match self {
-            CachedArtifact::Frame(_) => ArtifactKind::Frame,
-            CachedArtifact::NccTables(_) => ArtifactKind::NccTables,
-            CachedArtifact::IntensityPyramid(_) => ArtifactKind::IntensityPyramid,
-            CachedArtifact::ValidityPyramid(_) => ArtifactKind::ValidityPyramid,
-        }
-    }
-
-    /// Bytes this entry charges against the budget. Planes shared with
-    /// another entry are charged where they are *owned*: a pyramid's
-    /// level 0 is the frame artifact's intensity plane (shared via
-    /// `Pyramid::build_arc`), so pyramids charge only their decimated
-    /// levels.
-    pub fn charged_bytes(&self) -> usize {
-        match self {
-            CachedArtifact::Frame(a) => a.resident_bytes(),
-            CachedArtifact::NccTables(t) => t.resident_bytes(),
-            CachedArtifact::IntensityPyramid(p) => (1..p.num_levels())
-                .map(|k| p.level(k).len() * std::mem::size_of::<f32>())
-                .sum(),
-            CachedArtifact::ValidityPyramid(masks) => masks
-                .iter()
-                .skip(1)
-                .map(|m| {
-                    let (w, h) = m.dims();
-                    w * h
-                })
-                .sum(),
-        }
-    }
-
-    /// Number of distinct planes the entry holds (the eviction counter's
-    /// unit): 5 for a frame set (intensity, surface, validity, geometry,
-    /// discriminant), 2 for NCC tables, one per pyramid level.
-    fn plane_count(&self) -> u64 {
-        match self {
-            CachedArtifact::Frame(_) => 5,
-            CachedArtifact::NccTables(_) => 2,
-            CachedArtifact::IntensityPyramid(p) => p.num_levels() as u64,
-            CachedArtifact::ValidityPyramid(masks) => masks.len() as u64,
-        }
-    }
-}
+/// Planes in one [`FrameArtifacts`] set (intensity, surface, validity,
+/// geometry, discriminant): the unit of `stream.planes_evicted`.
+const PLANES_PER_SET: u64 = 5;
 
 /// Host-level resident-byte accounting shared by every cache shard.
 ///
@@ -178,14 +105,15 @@ impl CacheStats {
     }
 }
 
-/// LRU cache of per-frame derived artifacts, budgeted in bytes.
+/// LRU cache of per-frame artifact sets, keyed by frame id and
+/// budgeted in bytes.
 #[derive(Debug)]
 pub struct ArtifactCache {
     budget_bytes: usize,
-    /// Most-recently-used last. Sequences are short-windowed (the live
-    /// set is a handful of frames), so a scanned `Vec` beats a
-    /// hash-map + list LRU here.
-    entries: Vec<((usize, ArtifactKind), CachedArtifact, usize)>,
+    /// `(frame, set, charged bytes)`, most-recently-used last.
+    /// Sequences are short-windowed (the live set is a handful of
+    /// frames), so a scanned `Vec` beats a hash-map + list LRU here.
+    entries: Vec<(usize, Arc<FrameArtifacts>, usize)>,
     resident_bytes: usize,
     stats: CacheStats,
     meter: Option<Arc<UsageMeter>>,
@@ -239,13 +167,13 @@ impl ArtifactCache {
     }
 
     fn evict_front(&mut self) {
-        let (_, evicted, evicted_bytes) = self.entries.remove(0);
+        let (_, _, evicted_bytes) = self.entries.remove(0);
         self.resident_bytes -= evicted_bytes;
         if let Some(m) = &self.meter {
             m.sub(evicted_bytes);
         }
         self.stats.evictions += 1;
-        PLANES_EVICTED.add(evicted.plane_count());
+        PLANES_EVICTED.add(PLANES_PER_SET);
     }
 
     /// Bytes currently resident.
@@ -258,20 +186,19 @@ impl ArtifactCache {
         self.stats
     }
 
-    /// Whether `(frame, kind)` is resident, without touching recency or
+    /// Whether `frame`'s set is resident, without touching recency or
     /// the hit/miss statistics (used by the prefetch decision).
-    pub fn contains(&self, frame: usize, kind: ArtifactKind) -> bool {
-        self.entries.iter().any(|(k, _, _)| *k == (frame, kind))
+    pub fn contains(&self, frame: usize) -> bool {
+        self.entries.iter().any(|(k, _, _)| *k == frame)
     }
 
-    /// Look up `(frame, kind)`, marking the entry most-recently-used on
-    /// a hit. A miss only counts the lookup; the caller is expected to
-    /// compute and [`ArtifactCache::insert`] the artifact.
-    pub fn get(&mut self, frame: usize, kind: ArtifactKind) -> Option<CachedArtifact> {
-        let key = (frame, kind);
-        if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == key) {
+    /// Look up `frame`'s set, marking it most-recently-used on a hit. A
+    /// miss only counts the lookup; the caller is expected to compute
+    /// and [`ArtifactCache::insert`] the set.
+    pub fn get(&mut self, frame: usize) -> Option<Arc<FrameArtifacts>> {
+        if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == frame) {
             let entry = self.entries.remove(pos);
-            let out = entry.1.clone();
+            let out = Arc::clone(&entry.1);
             self.entries.push(entry);
             self.stats.hits += 1;
             CACHE_HITS.incr();
@@ -293,27 +220,26 @@ impl ArtifactCache {
         sma_obs::atlas::cache_event(frame, false);
     }
 
-    /// Insert an artifact for `frame`, evicting least-recently-used
-    /// entries until it fits. An artifact larger than the whole budget
-    /// is not admitted at all — the resident total never exceeds the
-    /// budget. Re-inserting an existing key replaces it.
-    pub fn insert(&mut self, frame: usize, artifact: CachedArtifact) {
-        let key = (frame, artifact.kind());
-        if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == key) {
+    /// Insert `frame`'s set, evicting least-recently-used sets until it
+    /// fits. A set larger than the whole budget is not admitted at all —
+    /// the resident total never exceeds the budget. Re-inserting a frame
+    /// replaces its set.
+    pub fn insert(&mut self, frame: usize, artifacts: Arc<FrameArtifacts>) {
+        if let Some(pos) = self.entries.iter().position(|(k, _, _)| *k == frame) {
             let (_, _, old_bytes) = self.entries.remove(pos);
             self.resident_bytes -= old_bytes;
             if let Some(m) = &self.meter {
                 m.sub(old_bytes);
             }
         }
-        let bytes = artifact.charged_bytes();
+        let bytes = artifacts.resident_bytes();
         if bytes > self.budget_bytes {
             return;
         }
         while self.resident_bytes + bytes > self.budget_bytes {
             self.evict_front();
         }
-        self.entries.push((key, artifact, bytes));
+        self.entries.push((frame, artifacts, bytes));
         self.resident_bytes += bytes;
         if let Some(m) = &self.meter {
             m.add(bytes);
@@ -341,11 +267,11 @@ pub fn cached_frame_artifacts(
     surface: &Grid<f32>,
     cfg: &SmaConfig,
 ) -> Result<Arc<FrameArtifacts>, SmaError> {
-    if let Some(CachedArtifact::Frame(a)) = cache.get(t, ArtifactKind::Frame) {
+    if let Some(a) = cache.get(t) {
         return Ok(a);
     }
     let a = Arc::new(FrameArtifacts::prepare(intensity, surface, cfg)?);
-    cache.insert(t, CachedArtifact::Frame(Arc::clone(&a)));
+    cache.insert(t, Arc::clone(&a));
     Ok(a)
 }
 
@@ -409,9 +335,9 @@ mod tests {
         let a = artifacts(0.0);
         let bytes = a.resident_bytes();
         let mut c = ArtifactCache::new(10 * bytes);
-        assert!(c.get(0, ArtifactKind::Frame).is_none());
-        c.insert(0, CachedArtifact::Frame(Arc::clone(&a)));
-        assert!(c.get(0, ArtifactKind::Frame).is_some());
+        assert!(c.get(0).is_none());
+        c.insert(0, Arc::clone(&a));
+        assert!(c.get(0).is_some());
         let s = c.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(c.resident_bytes(), bytes);
@@ -424,14 +350,14 @@ mod tests {
         let bytes = a.resident_bytes();
         // Room for exactly two frame sets.
         let mut c = ArtifactCache::new(2 * bytes);
-        c.insert(0, CachedArtifact::Frame(artifacts(0.0)));
-        c.insert(1, CachedArtifact::Frame(artifacts(1.0)));
+        c.insert(0, artifacts(0.0));
+        c.insert(1, artifacts(1.0));
         // Touch 0 so 1 becomes the LRU victim.
-        assert!(c.get(0, ArtifactKind::Frame).is_some());
-        c.insert(2, CachedArtifact::Frame(artifacts(2.0)));
-        assert!(c.contains(0, ArtifactKind::Frame));
-        assert!(!c.contains(1, ArtifactKind::Frame));
-        assert!(c.contains(2, ArtifactKind::Frame));
+        assert!(c.get(0).is_some());
+        c.insert(2, artifacts(2.0));
+        assert!(c.contains(0));
+        assert!(!c.contains(1));
+        assert!(c.contains(2));
         assert_eq!(c.stats().evictions, 1);
         assert!(c.resident_bytes() <= c.budget_bytes());
     }
@@ -440,8 +366,8 @@ mod tests {
     fn oversize_entry_is_not_admitted() {
         let a = artifacts(0.0);
         let mut c = ArtifactCache::new(a.resident_bytes() / 2);
-        c.insert(0, CachedArtifact::Frame(a));
-        assert!(!c.contains(0, ArtifactKind::Frame));
+        c.insert(0, a);
+        assert!(!c.contains(0));
         assert_eq!(c.resident_bytes(), 0);
         assert_eq!(c.stats().evictions, 0);
     }
@@ -453,25 +379,10 @@ mod tests {
         let budget = 2 * bytes + bytes / 2;
         let mut c = ArtifactCache::new(budget);
         for t in 0..6 {
-            c.insert(t, CachedArtifact::Frame(artifacts(t as f32)));
+            c.insert(t, artifacts(t as f32));
         }
         assert!(c.stats().high_water_bytes <= budget);
         assert!(c.stats().evictions >= 4);
-    }
-
-    #[test]
-    fn kinds_are_independent_keys() {
-        let a = artifacts(0.0);
-        let tables = ViewTables::build(&a.intensity);
-        let mut c = ArtifactCache::new(usize::MAX);
-        c.insert(0, CachedArtifact::Frame(Arc::clone(&a)));
-        c.insert(0, CachedArtifact::NccTables(tables));
-        assert!(c.contains(0, ArtifactKind::Frame));
-        assert!(c.contains(0, ArtifactKind::NccTables));
-        assert_eq!(
-            c.resident_bytes(),
-            a.resident_bytes() + ViewTables::build(&a.intensity).resident_bytes()
-        );
     }
 
     #[test]
@@ -479,13 +390,12 @@ mod tests {
         let a = artifacts(0.0);
         let bytes = a.resident_bytes();
         let mut c = ArtifactCache::new(10 * bytes);
-        c.insert(0, CachedArtifact::Frame(Arc::clone(&a)));
-        c.insert(0, CachedArtifact::Frame(a));
+        c.insert(0, Arc::clone(&a));
+        c.insert(0, a);
         assert_eq!(c.resident_bytes(), bytes);
     }
 
-    /// Regression: re-admitting a `(frame, kind)` key whose recomputed
-    /// artifact differs in size must re-charge the *delta* against the
+    /// Regression: re-admitting a frame whose recomputed set differs in size must re-charge the *delta* against the
     /// attached [`UsageMeter`] — shrink must release bytes, growing
     /// back must charge them again, and cache and meter must agree at
     /// every step.
@@ -506,17 +416,17 @@ mod tests {
         let meter = UsageMeter::new();
         let mut c = ArtifactCache::new(10 * big_bytes).with_meter(Arc::clone(&meter));
 
-        c.insert(0, CachedArtifact::Frame(Arc::clone(&big)));
+        c.insert(0, Arc::clone(&big));
         assert_eq!(c.resident_bytes(), big_bytes);
         assert_eq!(meter.resident_bytes(), big_bytes);
 
         // Shrink: the old charge must be fully released first.
-        c.insert(0, CachedArtifact::Frame(small));
+        c.insert(0, small);
         assert_eq!(c.resident_bytes(), small_bytes);
         assert_eq!(meter.resident_bytes(), small_bytes);
 
         // Grow back: the delta is re-charged, no stale residue either way.
-        c.insert(0, CachedArtifact::Frame(big));
+        c.insert(0, big);
         assert_eq!(c.resident_bytes(), big_bytes);
         assert_eq!(meter.resident_bytes(), big_bytes);
 

@@ -8,10 +8,10 @@
 //!   `(t-1, t)` and `(t, t+1)`; the naive per-pair
 //!   [`SmaFrames::prepare`] computes them twice.
 //! * **Pipelining** — while the matcher runs on pair `(t, t+1)`, a
-//!   worker thread prepares frame `t+2`'s artifacts. The vendored rayon
-//!   shim is sequential, so this `std::thread` overlap is the only real
-//!   concurrency in the workspace; preparation effectively disappears
-//!   behind matching whenever matching is the longer stage.
+//!   `std::thread` worker prepares frame `t+2`'s artifacts beside the
+//!   matcher (which may run its own row-band threads, see
+//!   `sma_core::pruned`), so preparation disappears behind matching
+//!   whenever matching is the longer stage.
 //!
 //! Both paths execute byte-for-byte the same preparation code
 //! ([`FrameArtifacts::prepare`] is the per-frame half of
@@ -26,12 +26,10 @@ use std::sync::Arc;
 use maspar_sim::memory::{MemoryBudget, GODDARD_PE_MEMORY_BYTES};
 use sma_core::{FrameArtifacts, SmaConfig, SmaError, SmaFrames};
 use sma_fault::GridError;
-use sma_grid::pyramid::Pyramid;
-use sma_grid::{Grid, ValidityMask};
+use sma_grid::Grid;
 use sma_satdata::SceneSequence;
-use sma_stereo::ViewTables;
 
-use crate::cache::{ArtifactCache, ArtifactKind, CacheStats, CachedArtifact};
+use crate::cache::{ArtifactCache, CacheStats};
 
 /// Borrowed input planes of one sequence frame.
 #[derive(Debug, Clone, Copy)]
@@ -179,73 +177,6 @@ impl<'a> StreamEngine<'a> {
         SmaFrames::from_artifacts(&before, &after)
     }
 
-    /// Per-view NCC sum/squared-sum tables of frame `t`'s intensity
-    /// plane, cached under [`ArtifactKind::NccTables`]. Feed two of
-    /// these to `NccPrecomp::build_with_views` to reuse the per-view
-    /// half of the stereo precompute across disparity searches.
-    ///
-    /// # Errors
-    /// Propagates preparation failures.
-    pub fn view_tables(&mut self, t: usize) -> Result<ViewTables, SmaError> {
-        if let Some(CachedArtifact::NccTables(tables)) = self.cache.get(t, ArtifactKind::NccTables)
-        {
-            return Ok(tables);
-        }
-        let a = self.artifacts(t)?;
-        let tables = ViewTables::build(&a.intensity);
-        self.cache
-            .insert(t, CachedArtifact::NccTables(tables.clone()));
-        Ok(tables)
-    }
-
-    /// The intensity pyramid of frame `t` with up to `n_levels` levels,
-    /// cached under [`ArtifactKind::IntensityPyramid`]. Level 0 shares
-    /// the cached artifact's intensity plane (`Pyramid::build_arc`), so
-    /// only the decimated levels cost memory.
-    ///
-    /// # Errors
-    /// Propagates preparation failures.
-    pub fn intensity_pyramid(&mut self, t: usize, n_levels: usize) -> Result<Pyramid, SmaError> {
-        if let Some(CachedArtifact::IntensityPyramid(p)) =
-            self.cache.get(t, ArtifactKind::IntensityPyramid)
-        {
-            if p.num_levels() >= n_levels || p.level(p.num_levels() - 1).width() < 4 {
-                return Ok(p);
-            }
-        }
-        let a = self.artifacts(t)?;
-        let p = Pyramid::build_arc(Arc::clone(&a.intensity), n_levels);
-        self.cache
-            .insert(t, CachedArtifact::IntensityPyramid(p.clone()));
-        Ok(p)
-    }
-
-    /// The validity-mask pyramid of frame `t` (same level count as
-    /// [`StreamEngine::intensity_pyramid`] would build), cached under
-    /// [`ArtifactKind::ValidityPyramid`]. Level 0 shares the artifact's
-    /// mask (`ValidityMask::pyramid_arc`).
-    ///
-    /// # Errors
-    /// Propagates preparation failures.
-    pub fn validity_pyramid(
-        &mut self,
-        t: usize,
-        n_levels: usize,
-    ) -> Result<Vec<Arc<ValidityMask>>, SmaError> {
-        if let Some(CachedArtifact::ValidityPyramid(masks)) =
-            self.cache.get(t, ArtifactKind::ValidityPyramid)
-        {
-            if masks.len() >= n_levels {
-                return Ok(masks);
-            }
-        }
-        let a = self.artifacts(t)?;
-        let masks = ValidityMask::pyramid_arc(&a.validity, n_levels);
-        self.cache
-            .insert(t, CachedArtifact::ValidityPyramid(masks.clone()));
-        Ok(masks)
-    }
-
     /// Drive `matcher` over every adjacent pair, in order. With
     /// pipelining on, frame `t+2` is prepared on a worker thread while
     /// `matcher` runs on pair `(t, t+1)`.
@@ -262,8 +193,7 @@ impl<'a> StreamEngine<'a> {
         let mut out = Vec::with_capacity(n - 1);
         for t in 0..n - 1 {
             let pair = self.pair(t)?;
-            let want_prefetch =
-                self.pipelined && t + 2 < n && !self.cache.contains(t + 2, ArtifactKind::Frame);
+            let want_prefetch = self.pipelined && t + 2 < n && !self.cache.contains(t + 2);
             if want_prefetch {
                 let src = self.frames[t + 2];
                 let cfg = self.cfg;
@@ -281,7 +211,7 @@ impl<'a> StreamEngine<'a> {
                 match prefetched {
                     Ok(Ok(a)) => {
                         self.cache.note_prefetch_build(t + 2);
-                        self.cache.insert(t + 2, CachedArtifact::Frame(Arc::new(a)));
+                        self.cache.insert(t + 2, Arc::new(a));
                     }
                     Ok(Err(e)) => return Err(e),
                     // A panicking worker means the preparation itself
@@ -389,35 +319,6 @@ mod tests {
         for (ra, rb) in a.iter().zip(&b) {
             assert_eq!(ra.estimates, rb.estimates);
         }
-    }
-
-    #[test]
-    fn view_tables_match_direct_build() {
-        let seq = florida_thunderstorm_analog(40, 3, 5);
-        let cfg = small_cfg();
-        let mut engine = StreamEngine::with_goddard_budget(sequence_frames(&seq), cfg);
-        let cached = engine.view_tables(1).expect("tables");
-        let direct = ViewTables::build(&engine.artifacts(1).unwrap().intensity);
-        assert_eq!(cached.sum.as_ref(), direct.sum.as_ref());
-        assert_eq!(cached.sq.as_ref(), direct.sq.as_ref());
-        // Second fetch is a pointer-copy hit.
-        let hits = engine.cache_stats().hits;
-        let again = engine.view_tables(1).expect("tables");
-        assert!(Arc::ptr_eq(&again.sum, &cached.sum));
-        assert_eq!(engine.cache_stats().hits, hits + 1);
-    }
-
-    #[test]
-    fn pyramids_share_level_zero_with_artifacts() {
-        let seq = florida_thunderstorm_analog(48, 3, 5);
-        let cfg = small_cfg();
-        let mut engine = StreamEngine::with_goddard_budget(sequence_frames(&seq), cfg);
-        let p = engine.intensity_pyramid(0, 3).expect("pyramid");
-        let a = engine.artifacts(0).expect("artifacts");
-        assert!(Arc::ptr_eq(&p.level_arc(0), &a.intensity));
-        let masks = engine.validity_pyramid(0, 3).expect("masks");
-        assert!(Arc::ptr_eq(&masks[0], &a.validity));
-        assert_eq!(masks.len(), p.num_levels());
     }
 
     #[test]

@@ -10,9 +10,8 @@
 //! gap:
 //!
 //! * [`cache::ArtifactCache`] — per-frame derived planes
-//!   ([`sma_core::FrameArtifacts`], NCC view tables, image/validity
-//!   pyramids), `Arc`-shared, keyed by `(frame id, kind)`, with LRU
-//!   eviction budgeted against the §4.3 memory model
+//!   ([`sma_core::FrameArtifacts`]), `Arc`-shared, keyed by frame id,
+//!   with LRU eviction budgeted against the §4.3 memory model
 //!   ([`maspar_sim::memory::MemoryBudget::stream_cache_bytes`]).
 //! * [`engine::StreamEngine`] — drives any pairwise driver over the
 //!   sequence, preparing each frame once and overlapping frame `t+2`'s
@@ -34,7 +33,6 @@ pub mod cache;
 pub mod engine;
 
 pub use cache::{
-    cached_frame_artifacts, ArtifactCache, ArtifactKind, CacheStats, CachedArtifact,
-    SharedArtifactCache, UsageMeter,
+    cached_frame_artifacts, ArtifactCache, CacheStats, SharedArtifactCache, UsageMeter,
 };
 pub use engine::{goddard_cache_budget, sequence_frames, FrameSource, StreamEngine};

@@ -13,7 +13,7 @@ use std::sync::{Arc, Barrier};
 
 use sma_core::{FrameArtifacts, MotionModel, SmaConfig};
 use sma_grid::Grid;
-use sma_stream::{ArtifactCache, ArtifactKind, CachedArtifact, SharedArtifactCache, UsageMeter};
+use sma_stream::{ArtifactCache, SharedArtifactCache, UsageMeter};
 
 fn cfg() -> SmaConfig {
     SmaConfig::small_test(MotionModel::Continuous)
@@ -56,7 +56,7 @@ fn eviction_races_keep_resident_within_budget() {
                         .expect("prepare");
                     // Re-fetch a neighbour to interleave hits with
                     // admissions.
-                    let _ = shard.lock().get(worker * 8, ArtifactKind::Frame);
+                    let _ = shard.lock().get(worker * 8);
                 }
             });
         }
@@ -94,7 +94,7 @@ fn oversize_entries_rejected_from_every_thread() {
             let shard = shard.clone();
             let a = Arc::clone(&a);
             scope.spawn(move || {
-                shard.lock().insert(t, CachedArtifact::Frame(a));
+                shard.lock().insert(t, a);
             });
         }
     });
@@ -103,7 +103,7 @@ fn oversize_entries_rejected_from_every_thread() {
     assert_eq!(meter.resident_bytes(), 0);
     assert_eq!(meter.high_water_bytes(), 0);
     for t in 0..4 {
-        assert!(!cache.contains(t, ArtifactKind::Frame));
+        assert!(!cache.contains(t));
     }
 }
 
@@ -128,9 +128,7 @@ fn simultaneous_admits_meter_a_cross_shard_high_water() {
             scope.spawn(move || {
                 barrier.wait();
                 for t in 0..2usize {
-                    shard
-                        .lock()
-                        .insert(t, CachedArtifact::Frame(artifacts((tenant * 2 + t) as f32)));
+                    shard.lock().insert(t, artifacts((tenant * 2 + t) as f32));
                 }
             });
         }
@@ -156,18 +154,18 @@ fn resize_budget_evicts_down_and_releases_bytes() {
     let meter = UsageMeter::new();
     let mut cache = ArtifactCache::new(3 * unit).with_meter(Arc::clone(&meter));
     for t in 0..3usize {
-        cache.insert(t, CachedArtifact::Frame(artifacts(t as f32)));
+        cache.insert(t, artifacts(t as f32));
     }
     assert_eq!(cache.resident_bytes(), 3 * unit);
     // Touch frame 0 so it is the most recent; shrinking to one slot
     // must keep exactly it.
-    assert!(cache.get(0, ArtifactKind::Frame).is_some());
+    assert!(cache.get(0).is_some());
     cache.resize_budget(unit);
     assert_eq!(cache.budget_bytes(), unit);
     assert_eq!(cache.resident_bytes(), unit);
-    assert!(cache.contains(0, ArtifactKind::Frame));
-    assert!(!cache.contains(1, ArtifactKind::Frame));
-    assert!(!cache.contains(2, ArtifactKind::Frame));
+    assert!(cache.contains(0));
+    assert!(!cache.contains(1));
+    assert!(!cache.contains(2));
     assert_eq!(cache.stats().evictions, 2);
     assert_eq!(meter.resident_bytes(), unit);
     // Growing back evicts nothing further.

@@ -17,7 +17,7 @@ use sma_core::{
     track_all_pruned, track_all_sequential, MotionModel, SmaConfig, SmaError, SmaFrames,
 };
 use sma_satdata::{florida_thunderstorm_analog, SceneSequence};
-use sma_stream::{goddard_cache_budget, sequence_frames, StreamEngine};
+use sma_stream::{goddard_cache_budget, sequence_frames, CacheStats, StreamEngine};
 
 /// Hypothesis-row chunk for the segmented driver (2 rows forces
 /// multi-segment checkpointing at the test windows).
@@ -223,4 +223,62 @@ fn cache_high_water_respects_goddard_budget() {
         stats.high_water_bytes
     );
     assert!(stats.hit_rate() > 0.0);
+}
+
+/// Characterization of the cache's behaviour: exact [`CacheStats`] of
+/// `test_sequence()` at four budgets, counted in units of one
+/// frame-artifact set `p`, each with pipelining forced off and on.
+///
+/// The rows record the policy as it stands, flaws included. The
+/// pipelined 1.5p row is prefetch thrash: preparing frame `t+2` evicts
+/// frame `t+1` before pair `(t+1, t+2)` looks it up, so every frame is
+/// prepared two or three times. The other pipelined rows read twice the
+/// hits because a prefetch build counts as a miss of its own and the
+/// frame's first lookup then hits. Pinning the next pair's residents
+/// and counting logical lookups (ROADMAP item 3) will change those rows
+/// on purpose; a change that only re-plumbs the cache must leave every
+/// row as it is.
+#[test]
+fn cache_stats_are_pinned_across_budgets_and_pipelining() {
+    let seq = test_sequence();
+    let cfg = SmaConfig::small_test(MotionModel::Continuous);
+    let region = Region::Interior {
+        margin: cfg.margin(),
+    };
+    let p = StreamEngine::with_goddard_budget(sequence_frames(&seq), cfg)
+        .artifact_bytes_probe()
+        .expect("probe");
+    let goddard = goddard_cache_budget(&cfg);
+    let run = |budget: usize, pipelined: bool| {
+        let mut engine =
+            StreamEngine::new(sequence_frames(&seq), cfg, budget).with_pipelining(pipelined);
+        engine
+            .run(|_, frames| track_all_sequential(frames, &cfg, region))
+            .expect("streamed run");
+        engine.cache_stats()
+    };
+    // (budget, pipelined, hits, misses, evictions, high water in p)
+    let rows = [
+        (p + p / 2, false, 4, 6, 5, 1),
+        (2 * p, false, 4, 6, 4, 2),
+        (3 * p, false, 4, 6, 3, 3),
+        (goddard, false, 4, 6, 0, 6),
+        (p + p / 2, true, 0, 14, 13, 1),
+        (2 * p, true, 8, 6, 4, 2),
+        (3 * p, true, 8, 6, 3, 3),
+        (goddard, true, 8, 6, 0, 6),
+    ];
+    for (budget, pipelined, hits, misses, evictions, high_water) in rows {
+        let want = CacheStats {
+            hits,
+            misses,
+            evictions,
+            high_water_bytes: high_water * p,
+        };
+        assert_eq!(
+            run(budget, pipelined),
+            want,
+            "budget {budget} B (p = {p} B), pipelining {pipelined}"
+        );
+    }
 }

@@ -176,18 +176,6 @@ pub fn fit_all_seq(z: &Grid<f32>, n: usize, policy: BorderPolicy) -> Grid<Quadra
     Grid::from_fn(z.width(), z.height(), |x, y| ctx.fit(z, x, y, policy))
 }
 
-/// Fit a patch at every pixel using Rayon data parallelism over rows.
-pub fn fit_all_par(z: &Grid<f32>, n: usize, policy: BorderPolicy) -> Grid<QuadraticPatch> {
-    use rayon::prelude::*;
-    let ctx = FitContext::new(n);
-    let (w, h) = z.dims();
-    let rows: Vec<Vec<QuadraticPatch>> = (0..h)
-        .into_par_iter()
-        .map(|y| (0..w).map(|x| ctx.fit(z, x, y, policy)).collect())
-        .collect();
-    Grid::from_vec(w, h, rows.into_iter().flatten().collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,19 +250,6 @@ mod tests {
         let p = fit_patch_ge(&z, 8, 8, 2, BorderPolicy::Clamp).unwrap();
         assert!((p.gradient().0 - 2.0).abs() < 0.1);
         assert!(p.gradient().1.abs() < 0.1);
-    }
-
-    #[test]
-    fn fit_all_par_equals_seq() {
-        let z = quad_grid(24, 18);
-        let s = fit_all_seq(&z, 2, BorderPolicy::Reflect);
-        let p = fit_all_par(&z, 2, BorderPolicy::Reflect);
-        assert_eq!(s.dims(), p.dims());
-        for ((c, a), b) in s.enumerate().zip(p.iter()) {
-            for (ca, cb) in a.coeffs().iter().zip(b.coeffs().iter()) {
-                assert!((ca - cb).abs() < 1e-12, "mismatch at {c:?}");
-            }
-        }
     }
 
     #[test]

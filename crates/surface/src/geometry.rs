@@ -12,9 +12,8 @@
 //! of the *intensity* surface. The paper computes these once per frame
 //! ("Local surface patches are fit for each pixel in both the intensity
 //! and surface images at both time steps") — the "Compute geometric
-//! variables" row of Table 2. [`GeomField::compute`] is that pass.
+//! variables" row of Table 2. [`GeomField::compute_par`] is that pass.
 
-use rayon::prelude::*;
 use sma_grid::{BorderPolicy, Grid};
 use sma_linalg::Vec3;
 
@@ -79,8 +78,11 @@ pub struct GeomField {
 
 impl GeomField {
     /// Compute geometric variables at every pixel of `z` by fitting
-    /// `(2n+1) x (2n+1)` quadratic patches (sequentially).
-    pub fn compute(z: &Grid<f32>, n: usize, policy: BorderPolicy) -> Self {
+    /// `(2n+1) x (2n+1)` quadratic patches. Per-pixel work is
+    /// independent, as in the SIMD formulation where every PE fits its
+    /// own patch in lockstep, so a split over rows would not change a
+    /// bit. Today the loop runs in raster order on the calling thread.
+    pub fn compute_par(z: &Grid<f32>, n: usize, policy: BorderPolicy) -> Self {
         let _span = sma_obs::span("geom_field");
         PATCH_FITS.add((z.width() * z.height()) as u64);
         let ctx = FitContext::new(n);
@@ -88,28 +90,6 @@ impl GeomField {
             Self::vars_from_patch(&ctx, z, x, y, policy)
         });
         Self { vars }
-    }
-
-    /// Compute geometric variables in parallel over rows (Rayon). The
-    /// result is bit-identical to [`GeomField::compute`]: per-pixel work
-    /// is independent, matching the SIMD formulation where every PE fits
-    /// its own patch in lockstep.
-    pub fn compute_par(z: &Grid<f32>, n: usize, policy: BorderPolicy) -> Self {
-        let _span = sma_obs::span("geom_field");
-        PATCH_FITS.add((z.width() * z.height()) as u64);
-        let ctx = FitContext::new(n);
-        let (w, h) = z.dims();
-        let rows: Vec<Vec<GeomVars>> = (0..h)
-            .into_par_iter()
-            .map(|y| {
-                (0..w)
-                    .map(|x| Self::vars_from_patch(&ctx, z, x, y, policy))
-                    .collect()
-            })
-            .collect();
-        Self {
-            vars: Grid::from_vec(w, h, rows.into_iter().flatten().collect()),
-        }
     }
 
     fn vars_from_patch(
@@ -187,7 +167,7 @@ mod tests {
     #[test]
     fn flat_surface_all_defaults() {
         let z = Grid::filled(12, 12, 3.0f32);
-        let f = GeomField::compute(&z, 2, BorderPolicy::Clamp);
+        let f = GeomField::compute_par(&z, 2, BorderPolicy::Clamp);
         let v = f.at(6, 6);
         assert!((v.nk - 1.0).abs() < 1e-9);
         assert!(v.ni.abs() < 1e-9 && v.nj.abs() < 1e-9);
@@ -200,7 +180,7 @@ mod tests {
     fn ramp_surface_tilts_normal() {
         // z = x: normal = (-1, 0, 1)/sqrt(2), E = 2, G = 1.
         let z = Grid::from_fn(16, 16, |x, _| x as f32);
-        let f = GeomField::compute(&z, 2, BorderPolicy::Clamp);
+        let f = GeomField::compute_par(&z, 2, BorderPolicy::Clamp);
         let v = f.at(8, 8);
         let s = 1.0 / 2.0f64.sqrt();
         assert!((v.ni + s).abs() < 1e-6);
@@ -216,7 +196,7 @@ mod tests {
             let (u, v) = (x as f32 - 8.0, y as f32 - 8.0);
             0.1 * (u * u + v * v)
         });
-        let f = GeomField::compute(&z, 2, BorderPolicy::Clamp);
+        let f = GeomField::compute_par(&z, 2, BorderPolicy::Clamp);
         let v = f.at(8, 8);
         // zxx = zyy = 0.2, zxy = 0 -> D = 0.04.
         assert!((v.d - 0.04).abs() < 1e-4);
@@ -225,21 +205,9 @@ mod tests {
     }
 
     #[test]
-    fn parallel_equals_sequential() {
-        let z = Grid::from_fn(20, 20, |x, y| ((x * 13 + y * 7) % 23) as f32);
-        let s = GeomField::compute(&z, 2, BorderPolicy::Reflect);
-        let p = GeomField::compute_par(&z, 2, BorderPolicy::Reflect);
-        for y in 0..20 {
-            for x in 0..20 {
-                assert_eq!(s.at(x, y), p.at(x, y), "at ({x},{y})");
-            }
-        }
-    }
-
-    #[test]
     fn clamped_access_at_borders() {
         let z = Grid::from_fn(8, 8, |x, _| x as f32);
-        let f = GeomField::compute(&z, 2, BorderPolicy::Clamp);
+        let f = GeomField::compute_par(&z, 2, BorderPolicy::Clamp);
         assert_eq!(f.at_clamped(-3, 4), f.at(0, 4));
         assert_eq!(f.at_clamped(12, 4), f.at(7, 4));
     }
@@ -249,7 +217,7 @@ mod tests {
         let z = Grid::from_fn(16, 16, |x, y| {
             (x as f32 * 0.7).sin() * 3.0 + (y as f32 * 0.5).cos()
         });
-        let f = GeomField::compute(&z, 2, BorderPolicy::Reflect);
+        let f = GeomField::compute_par(&z, 2, BorderPolicy::Reflect);
         for y in 0..16 {
             for x in 0..16 {
                 let n = f.at(x, y).normal();

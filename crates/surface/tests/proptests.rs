@@ -74,8 +74,8 @@ proptest! {
             (((x * 13 + y * 29) as u64 ^ seed) % 32) as f32 * 0.25
         });
         let z_off = z.map(|v| v + offset);
-        let a = GeomField::compute(&z, 2, BorderPolicy::Reflect);
-        let b = GeomField::compute(&z_off, 2, BorderPolicy::Reflect);
+        let a = GeomField::compute_par(&z, 2, BorderPolicy::Reflect);
+        let b = GeomField::compute_par(&z_off, 2, BorderPolicy::Reflect);
         for y in 0..12 {
             for x in 0..12 {
                 let (va, vb) = (a.at(x, y), b.at(x, y));
@@ -95,8 +95,8 @@ proptest! {
             (((x * 7 + y * 11) as u64 ^ seed) % 16) as f32
         });
         let zm = Grid::from_fn(w, 9, |x, y| z.at(w - 1 - x, y));
-        let a = GeomField::compute(&z, 2, BorderPolicy::Reflect);
-        let b = GeomField::compute(&zm, 2, BorderPolicy::Reflect);
+        let a = GeomField::compute_par(&z, 2, BorderPolicy::Reflect);
+        let b = GeomField::compute_par(&zm, 2, BorderPolicy::Reflect);
         for y in 0..9 {
             for x in 0..w {
                 let (va, vb) = (a.at(x, y), b.at(w - 1 - x, y));

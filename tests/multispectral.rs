@@ -11,7 +11,7 @@ use sma::surface::GeomField;
 
 /// Discriminant plane of an image with the paper's 5x5 patch window.
 fn disc(img: &Grid<f32>) -> Grid<f32> {
-    GeomField::compute(img, 2, BorderPolicy::Clamp).discriminant_plane()
+    GeomField::compute_par(img, 2, BorderPolicy::Clamp).discriminant_plane()
 }
 
 #[test]

@@ -85,8 +85,9 @@ impl UsageMeter {
 pub struct CacheStats {
     /// Lookups that found their entry resident.
     pub hits: u64,
-    /// Artifact computations (lookup failures plus pipelined prefetch
-    /// builds — every miss corresponds to one `prepare`).
+    /// Lookups that did not find their entry resident. Every miss is
+    /// one `prepare` of the frame's set, whether the engine's
+    /// prepare-ahead worker made it or the lookup did.
     pub misses: u64,
     /// Entries pushed out by the LRU policy.
     pub evictions: u64,
@@ -211,15 +212,6 @@ impl ArtifactCache {
         None
     }
 
-    /// Record an artifact computation that bypassed [`ArtifactCache::get`]
-    /// (the pipelined prefetch builds artifacts before anything looks
-    /// them up); keeps `misses` equal to the number of `prepare` calls.
-    pub fn note_prefetch_build(&mut self, frame: usize) {
-        self.stats.misses += 1;
-        CACHE_MISSES.incr();
-        sma_obs::atlas::cache_event(frame, false);
-    }
-
     /// Insert `frame`'s set, evicting least-recently-used sets until it
     /// fits. A set larger than the whole budget is not admitted at all —
     /// the resident total never exceeds the budget. Re-inserting a frame
@@ -251,8 +243,10 @@ impl ArtifactCache {
     }
 }
 
-/// Frame `t`'s [`FrameArtifacts`] from `cache`, computing (and caching)
-/// them on a miss. This is the one preparation path shared by
+/// Frame `t`'s [`FrameArtifacts`] from `cache`. On a miss the set is
+/// `ready` when the caller already prepared it (the engine's
+/// prepare-ahead worker) and is computed here otherwise; either way it
+/// is then cached. This is the one preparation path shared by
 /// [`StreamEngine`](crate::engine::StreamEngine) and the service layer's
 /// per-tenant shards — both therefore execute byte-for-byte the same
 /// code as pairwise [`sma_core::SmaFrames::prepare`], which is what
@@ -266,11 +260,15 @@ pub fn cached_frame_artifacts(
     intensity: &Grid<f32>,
     surface: &Grid<f32>,
     cfg: &SmaConfig,
+    ready: Option<Arc<FrameArtifacts>>,
 ) -> Result<Arc<FrameArtifacts>, SmaError> {
     if let Some(a) = cache.get(t) {
         return Ok(a);
     }
-    let a = Arc::new(FrameArtifacts::prepare(intensity, surface, cfg)?);
+    let a = match ready {
+        Some(a) => a,
+        None => Arc::new(FrameArtifacts::prepare(intensity, surface, cfg)?),
+    };
     cache.insert(t, Arc::clone(&a));
     Ok(a)
 }
@@ -312,7 +310,7 @@ impl SharedArtifactCache {
         surface: &Grid<f32>,
         cfg: &SmaConfig,
     ) -> Result<Arc<FrameArtifacts>, SmaError> {
-        cached_frame_artifacts(&mut self.lock(), t, intensity, surface, cfg)
+        cached_frame_artifacts(&mut self.lock(), t, intensity, surface, cfg, None)
     }
 }
 

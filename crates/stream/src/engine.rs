@@ -7,11 +7,20 @@
 //! * **Cross-pair reuse** — frame `t`'s artifacts serve pairs
 //!   `(t-1, t)` and `(t, t+1)`; the naive per-pair
 //!   [`SmaFrames::prepare`] computes them twice.
-//! * **Pipelining** — while the matcher runs on pair `(t, t+1)`, a
-//!   `std::thread` worker prepares frame `t+2`'s artifacts beside the
-//!   matcher (which may run its own row-band threads, see
-//!   `sma_core::pruned`), so preparation disappears behind matching
-//!   whenever matching is the longer stage.
+//! * **Pipelining** — one worker thread per run prepares frame `t+2`'s
+//!   artifacts while the matcher runs on pair `(t, t+1)` (the matcher
+//!   may run its own row-band threads, see `sma_core::pruned`), so
+//!   preparation disappears behind matching whenever matching is the
+//!   longer stage. The worker hands the set back to the engine, which
+//!   holds it outside the cache until pair `(t+1, t+2)` looks frame
+//!   `t+2` up. That lookup misses and inserts the set at the point
+//!   where the unpipelined engine would prepare and insert it.
+//!
+//! Pipelining is therefore a pure latency optimisation. The cache sees
+//! one operation sequence with it on or off, so a prefetch never evicts
+//! a frame the next pair needs, each frame is prepared once whenever
+//! the budget holds one set, and every [`CacheStats`] field is the same
+//! either way.
 //!
 //! Both paths execute byte-for-byte the same preparation code
 //! ([`FrameArtifacts::prepare`] is the per-frame half of
@@ -21,7 +30,7 @@
 //! eviction, under pipelining, and at any observability level. The
 //! conformance suite and this crate's tests assert exactly that.
 
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use maspar_sim::memory::{MemoryBudget, GODDARD_PE_MEMORY_BYTES};
 use sma_core::{FrameArtifacts, SmaConfig, SmaError, SmaFrames};
@@ -73,6 +82,17 @@ pub struct StreamEngine<'a> {
     cfg: SmaConfig,
     cache: ArtifactCache,
     pipelined: bool,
+    /// The set the prepare-ahead worker last made, held outside the
+    /// cache until its frame is looked up.
+    ready: Option<(usize, Arc<FrameArtifacts>)>,
+}
+
+/// The engine's ends of the prepare-ahead worker's two channels: frames
+/// to prepare go out on `jobs`, their artifact sets come back on `done`
+/// in the same order.
+struct Prefetch<'a> {
+    jobs: mpsc::Sender<FrameSource<'a>>,
+    done: mpsc::Receiver<Result<FrameArtifacts, SmaError>>,
 }
 
 impl<'a> StreamEngine<'a> {
@@ -104,6 +124,7 @@ impl<'a> StreamEngine<'a> {
             cfg,
             cache,
             pipelined: parallel_host,
+            ready: None,
         }
     }
 
@@ -150,18 +171,22 @@ impl<'a> StreamEngine<'a> {
         Ok(FrameArtifacts::prepare(src.intensity, src.surface, &self.cfg)?.resident_bytes())
     }
 
-    /// Frame `t`'s artifacts, from cache or computed (and cached).
+    /// Frame `t`'s artifacts, from cache or computed (and cached). On a
+    /// miss, the set the prepare-ahead worker made for frame `t` is
+    /// cached instead of preparing the frame again.
     ///
     /// # Errors
     /// Propagates [`FrameArtifacts::prepare`] failures.
     pub fn artifacts(&mut self, t: usize) -> Result<Arc<FrameArtifacts>, SmaError> {
         let src = self.frames[t];
+        let ready = self.ready.take_if(|(frame, _)| *frame == t);
         crate::cache::cached_frame_artifacts(
             &mut self.cache,
             t,
             src.intensity,
             src.surface,
             &self.cfg,
+            ready.map(|(_, set)| set),
         )
     }
 
@@ -177,61 +202,91 @@ impl<'a> StreamEngine<'a> {
         SmaFrames::from_artifacts(&before, &after)
     }
 
-    /// Drive `matcher` over every adjacent pair, in order. With
-    /// pipelining on, frame `t+2` is prepared on a worker thread while
-    /// `matcher` runs on pair `(t, t+1)`.
+    /// Drive `matcher` over every adjacent pair, in order.
+    ///
+    /// With pipelining on, one scoped worker thread serves the whole
+    /// run: while `matcher` runs on pair `(t, t+1)` it prepares frame
+    /// `t+2`, unless that frame is resident or already held, and the
+    /// engine holds the set until pair `(t+1, t+2)` looks it up (see
+    /// the module docs). The worker is joined before `run` returns, on
+    /// every path. With pipelining off, no thread is spawned. Either
+    /// way the cache sees the same lookups and insertions, so
+    /// [`StreamEngine::cache_stats`] does not depend on pipelining.
     ///
     /// # Errors
-    /// Propagates preparation and matcher failures; preparation errors
-    /// discovered by the prefetch worker surface on the next pair.
+    /// Propagates preparation and matcher failures. A preparation error
+    /// found by the worker surfaces right after the match it overlapped;
+    /// a preparation that panicked surfaces as
+    /// [`GridError::ShapeMismatch`].
     pub fn run<T>(
         &mut self,
         mut matcher: impl FnMut(usize, &SmaFrames) -> Result<T, SmaError>,
     ) -> Result<Vec<T>, SmaError> {
         let _span = sma_obs::span("stream_run");
+        if !self.pipelined {
+            return self.run_pairs(&mut matcher, None);
+        }
+        let cfg = self.cfg;
+        std::thread::scope(|scope| {
+            let (jobs, job_rx) = mpsc::channel::<FrameSource<'a>>();
+            let (done_tx, done) = mpsc::channel();
+            let worker = scope.spawn(move || {
+                for src in job_rx {
+                    let _span = sma_obs::span("stream_prefetch");
+                    let made = FrameArtifacts::prepare(src.intensity, src.surface, &cfg);
+                    if done_tx.send(made).is_err() {
+                        break;
+                    }
+                }
+            });
+            let out = self.run_pairs(&mut matcher, Some(Prefetch { jobs, done }));
+            // `run_pairs` dropped `jobs`, which ends the worker's loop.
+            // A preparation that panicked is already `out`'s error;
+            // joining here keeps the scope from raising the panic again.
+            let _ = worker.join();
+            out
+        })
+    }
+
+    /// The pair loop of [`StreamEngine::run`], with the prepare-ahead
+    /// worker's channels when pipelining is on.
+    fn run_pairs<T>(
+        &mut self,
+        matcher: &mut impl FnMut(usize, &SmaFrames) -> Result<T, SmaError>,
+        prefetch: Option<Prefetch<'a>>,
+    ) -> Result<Vec<T>, SmaError> {
         let n = self.frames.len();
         let mut out = Vec::with_capacity(n - 1);
         for t in 0..n - 1 {
             let pair = self.pair(t)?;
-            let want_prefetch = self.pipelined && t + 2 < n && !self.cache.contains(t + 2);
-            if want_prefetch {
-                let src = self.frames[t + 2];
-                let cfg = self.cfg;
-                let (matched, prefetched) = std::thread::scope(|scope| {
-                    let worker = scope.spawn(move || {
-                        let _span = sma_obs::span("stream_prefetch");
-                        FrameArtifacts::prepare(src.intensity, src.surface, &cfg)
-                    });
-                    let matched = {
-                        let _span = sma_obs::span("stream_match");
-                        matcher(t, &pair)
-                    };
-                    (matched, worker.join())
-                });
-                match prefetched {
-                    Ok(Ok(a)) => {
-                        self.cache.note_prefetch_build(t + 2);
-                        self.cache.insert(t + 2, Arc::new(a));
-                    }
-                    Ok(Err(e)) => return Err(e),
-                    // A panicking worker means the preparation itself
-                    // panicked; surface it as the shape-style error the
-                    // synchronous path would have raised.
-                    Err(_) => {
-                        return Err(SmaError::Grid(GridError::ShapeMismatch {
-                            expected: self.frames[0].intensity.dims(),
-                            got: src.intensity.dims(),
-                        }))
-                    }
-                }
-                out.push(matched?);
-            } else {
-                let matched = {
-                    let _span = sma_obs::span("stream_match");
-                    matcher(t, &pair)
-                };
-                out.push(matched?);
+            let ahead = t + 2;
+            let worker = prefetch.as_ref().filter(|_| {
+                ahead < n
+                    && !self.cache.contains(ahead)
+                    && !matches!(self.ready, Some((frame, _)) if frame == ahead)
+            });
+            if let Some(w) = worker {
+                // A send fails only if the worker is gone; the receive
+                // below then reports it.
+                let _ = w.jobs.send(self.frames[ahead]);
             }
+            let matched = {
+                let _span = sma_obs::span("stream_match");
+                matcher(t, &pair)
+            };
+            if let Some(w) = worker {
+                // A closed channel means the preparation panicked;
+                // surface it as the shape-style error the synchronous
+                // path would have raised.
+                let made = w.done.recv().unwrap_or_else(|_| {
+                    Err(SmaError::Grid(GridError::ShapeMismatch {
+                        expected: self.frames[0].intensity.dims(),
+                        got: self.frames[ahead].intensity.dims(),
+                    }))
+                })?;
+                self.ready = Some((ahead, Arc::new(made)));
+            }
+            out.push(matched?);
         }
         Ok(out)
     }

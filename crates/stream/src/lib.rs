@@ -15,7 +15,9 @@
 //!   ([`maspar_sim::memory::MemoryBudget::stream_cache_bytes`]).
 //! * [`engine::StreamEngine`] — drives any pairwise driver over the
 //!   sequence, preparing each frame once and overlapping frame `t+2`'s
-//!   preparation with matching on pair `(t, t+1)` via a worker thread.
+//!   preparation with matching on pair `(t, t+1)` via one worker thread
+//!   per run; the cache counters read the same with that worker on or
+//!   off.
 //! * `stream_report` (binary) — the throughput comparison emitting
 //!   `BENCH_stream.json` / `METRICS_stream.json`, with acceptance gates
 //!   for speedup, cache effectiveness and bit-identity.

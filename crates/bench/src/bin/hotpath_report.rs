@@ -11,22 +11,27 @@
 //! column times the pruned driver with its screen disarmed
 //! (`SMA_PRUNE=off`): the exhaustive raster sweep over the lane kernels.
 //! The `pruned` column arms the screen, which orders the hypothesis
-//! sweep from a decimated-lattice seed and rejects most candidates
-//! against an admissible lower bound before their offset moment planes
-//! are ever built. The large configuration
+//! sweep from a decimated-lattice seed, rejects most candidates against
+//! an admissible block bound before their offset moment planes are ever
+//! built, and most of the rest against a tight closed-form bound before
+//! their LU evaluation. The large configuration
 //! (96 x 96, 31 x 31 template, 11 x 11 search) exercises the same
 //! kernels at a realistic satellite-window scale — and gives the pruned
 //! driver a 121-hypothesis sweep to cut down.
 //!
 //! Timing methodology: within a scenario all drivers are measured
-//! **interleaved round-robin** — each round runs every driver once and
-//! each driver reports its best-of-rounds. Measuring drivers
-//! back-to-back in blocks lets slow environmental drift (thermal
-//! throttling, frequency steps, cache pressure from a neighbouring job)
-//! land on whichever driver happens to run in the last block; the
-//! last-measured driver once read ~0.87x against an identical call on
-//! the large scenario from block order alone. Round-robin spreads any
-//! drift evenly across all drivers.
+//! **interleaved round-robin** — each round runs every driver once (a
+//! short burst, see [`BURST`]). A driver's reported time is the median
+//! of its rounds, and a speed-up is the median of the per-round ratios,
+//! so the two drivers of a ratio are always timed under the same host
+//! conditions: on a shared 2-vCPU host the small scenario's exact kernel
+//! doubles between the host's quiet and slow states while the integral
+//! path slows far less, so times taken in different rounds mix states.
+//! Measuring drivers back-to-back in blocks lets slow environmental
+//! drift (thermal throttling, frequency steps, cache pressure from a
+//! neighbouring job) land on whichever driver happens to run in the last
+//! block; the last-measured driver once read ~0.87x against an identical
+//! call on the large scenario from block order alone.
 //!
 //! The `pruned` column times the pruned driver's row-banded sweep, so
 //! it depends on the CPU count: each scenario records the band count the
@@ -55,44 +60,56 @@ use std::time::Instant;
 /// environmental drift across all drivers.
 const BURST: usize = 3;
 
-/// Per driver, the best-of-rounds wall-clock seconds, measured
-/// interleaved: each round invokes every still-sampling driver
-/// [`BURST`] times back-to-back, so environmental drift is shared
-/// instead of charged to the last block (see module docs) while each
-/// sample still reflects a warmed driver. Per driver the sampling
-/// budget matches the old per-driver loop: at least 3 invocations, then
-/// until 0.2 s of accumulated time or 50 invocations.
-fn time_interleaved(drivers: &mut [Box<dyn FnMut() + '_>]) -> Vec<f64> {
-    // Warm-up round (page-in, allocator steady state).
+/// Rounds per scenario, unless [`ROUND_BUDGET_S`] runs out first.
+const ROUNDS: usize = 9;
+
+/// Seconds after which no further round starts. Only the scenarios
+/// whose exact kernel takes a second or more per call stop early
+/// (`large_t31` after one round); the small scenario's nine rounds take
+/// under a second.
+const ROUND_BUDGET_S: f64 = 10.0;
+
+/// Per driver, the seconds of each round, measured interleaved: after
+/// a warm-up round (page-in, allocator steady state), each round invokes
+/// every driver [`BURST`] times back-to-back and keeps the fastest, so
+/// environmental drift is shared instead of charged to the last block
+/// (see module docs) while each sample still reflects a warmed driver.
+fn time_interleaved(drivers: &mut [Box<dyn FnMut() + '_>]) -> Vec<Vec<f64>> {
     for f in drivers.iter_mut() {
         f();
     }
-    let n = drivers.len();
-    let mut best = vec![f64::INFINITY; n];
-    let mut spent = vec![0.0f64; n];
-    let mut reps = vec![0usize; n];
-    loop {
-        let sampling: Vec<bool> = (0..n)
-            .map(|i| reps[i] < 3 || (spent[i] < 0.2 && reps[i] < 50))
-            .collect();
-        if !sampling.iter().any(|&s| s) {
-            break;
-        }
-        for (i, f) in drivers.iter_mut().enumerate() {
-            if !sampling[i] {
-                continue;
-            }
+    let mut rounds = vec![Vec::new(); drivers.len()];
+    let start = Instant::now();
+    while rounds[0].len() < ROUNDS
+        && (rounds[0].is_empty() || start.elapsed().as_secs_f64() < ROUND_BUDGET_S)
+    {
+        for (f, secs) in drivers.iter_mut().zip(&mut rounds) {
+            let mut best = f64::INFINITY;
             for _ in 0..BURST {
                 let t = Instant::now();
                 f();
-                let dt = t.elapsed().as_secs_f64();
-                best[i] = best[i].min(dt);
-                spent[i] += dt;
-                reps[i] += 1;
+                best = best.min(t.elapsed().as_secs_f64());
             }
+            secs.push(best);
         }
     }
-    best
+    rounds
+}
+
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let n = v.len();
+    if n % 2 == 1 {
+        v[n / 2]
+    } else {
+        (v[n / 2 - 1] + v[n / 2]) / 2.0
+    }
+}
+
+/// The median over rounds of `slow / fast`, each pair timed in the
+/// same round.
+fn median_ratio(slow: &[f64], fast: &[f64]) -> f64 {
+    median(slow.iter().zip(fast).map(|(s, f)| s / f).collect())
 }
 
 struct Scenario {
@@ -107,10 +124,11 @@ struct Row {
     frame: usize,
     template_side: usize,
     search_side: usize,
-    exact_seq: f64,
-    integral_seq: f64,
-    simd_seq: f64,
-    pruned_seq: f64,
+    /// Seconds per round of each driver, timed interleaved.
+    exact_seq: Vec<f64>,
+    integral_seq: Vec<f64>,
+    simd_seq: Vec<f64>,
+    pruned_seq: Vec<f64>,
     /// Row bands the pruned driver split this scenario's interior into.
     pruned_bands: u64,
 }
@@ -120,21 +138,33 @@ impl Row {
     /// every place the ratio appears (table, JSON, acceptance gate) so
     /// they can never disagree.
     fn speedup_integral(&self) -> f64 {
-        self.exact_seq / self.integral_seq
+        median_ratio(&self.exact_seq, &self.integral_seq)
     }
 
     /// SIMD lane-kernel speedup over the scalar integral baseline: the
     /// pruned driver's unscreened raster sweep against the integral
     /// driver.
     fn speedup_simd(&self) -> f64 {
-        self.integral_seq / self.simd_seq
+        median_ratio(&self.integral_seq, &self.simd_seq)
     }
 
     /// Pruned-search speedup over the exhaustive lane-kernel sweep (the
     /// screen's acceptance ratio: same kernels, bit-identical output,
     /// fewer candidate evaluations and fewer offset-plane builds).
     fn speedup_pruned(&self) -> f64 {
-        self.simd_seq / self.pruned_seq
+        median_ratio(&self.simd_seq, &self.pruned_seq)
+    }
+
+    /// Each driver's median seconds over its rounds: exact, integral,
+    /// simd, pruned.
+    fn medians(&self) -> [f64; 4] {
+        [
+            &self.exact_seq,
+            &self.integral_seq,
+            &self.simd_seq,
+            &self.pruned_seq,
+        ]
+        .map(|v| median(v.clone()))
     }
 }
 
@@ -182,17 +212,20 @@ fn run_scenario(s: &Scenario) -> Row {
             black_box(track_all_pruned(black_box(&frames), &cfg, region)).expect("track");
         }),
     ];
-    let t = time_interleaved(&mut drivers);
+    let [exact_seq, integral_seq, simd_seq, pruned_seq]: [Vec<f64>; 4] =
+        time_interleaved(&mut drivers)
+            .try_into()
+            .expect("four drivers");
     drop(drivers);
     Row {
         name: s.name,
         frame: s.side,
         template_side: 2 * s.nzt + 1,
         search_side: 2 * s.nzs + 1,
-        exact_seq: t[0],
-        integral_seq: t[1],
-        simd_seq: t[2],
-        pruned_seq: t[3],
+        exact_seq,
+        integral_seq,
+        simd_seq,
+        pruned_seq,
         pruned_bands: pruned_bands(&frames, &cfg, region),
     }
 }
@@ -239,12 +272,12 @@ fn kernel_breakdown(s: &Scenario) -> Vec<(String, u64, f64)> {
 }
 
 /// Prune-rate counters from one pruned run on the gate scenario:
-/// candidates skipped against the admissible bound, offset planes
-/// actually built, and interior pixels swept — the non-vacuity evidence
-/// behind the speedup headline, carried in the JSON document so a
-/// regression to "prunes nothing" is visible even when wall-clock noise
-/// masks it.
-fn prune_counters(s: &Scenario) -> [(&'static str, u64); 3] {
+/// candidates skipped against the admissible bounds (both levels), the
+/// part the tight screen skipped, offset planes actually built, and
+/// interior pixels swept — the non-vacuity evidence behind the speedup
+/// headline, carried in the JSON document so a regression to "prunes
+/// nothing" is visible even when wall-clock noise masks it.
+fn prune_counters(s: &Scenario) -> [(&'static str, u64); 4] {
     let cfg = config_for(s);
     let frames = shifted_frames(s.side, s.side, 1.0, 0.0, &cfg);
     let region = Region::Interior {
@@ -254,6 +287,7 @@ fn prune_counters(s: &Scenario) -> [(&'static str, u64); 3] {
     sma_obs::set_level(sma_obs::ObsLevel::Summary);
     let names = [
         "prune.candidates_skipped",
+        "pruned.tight_skipped",
         "pruned.offset_planes_built",
         "pruned.interior_pixels",
     ];
@@ -263,7 +297,7 @@ fn prune_counters(s: &Scenario) -> [(&'static str, u64); 3] {
     };
     black_box(track_all_pruned(&frames, &cfg, region)).expect("track");
     let snap = sma_obs::metrics::snapshot();
-    let mut out = [("", 0u64); 3];
+    let mut out = [("", 0u64); 4];
     for (i, n) in names.iter().enumerate() {
         out[i] = (*n, snap.counter(n).saturating_sub(before[i]));
     }
@@ -321,15 +355,16 @@ fn main() {
     let mut rows = Vec::new();
     for s in scenarios {
         let r = run_scenario(s);
+        let [exact, integral, simd, pruned] = r.medians();
         println!(
             "  {:<12} {:>4}^2 {:>6}^2 {:>10.4}s {:>10.4}s {:>10.4}s {:>10.4}s {:>7.1}x {:>7.1}x {:>7.2}x",
             r.name,
             r.frame,
             r.template_side,
-            r.exact_seq,
-            r.integral_seq,
-            r.simd_seq,
-            r.pruned_seq,
+            exact,
+            integral,
+            simd,
+            pruned,
             r.speedup_integral(),
             r.speedup_simd(),
             r.speedup_pruned()
@@ -354,6 +389,7 @@ fn main() {
         std::thread::available_parallelism().map_or(1, |n| n.get())
     );
     for (i, r) in rows.iter().enumerate() {
+        let [exact, integral, simd, pruned] = r.medians();
         json.push_str(&format!(
             concat!(
                 "    {{\n",
@@ -366,6 +402,7 @@ fn main() {
                 "      \"simd_sequential\": {:.6},\n",
                 "      \"pruned_sequential\": {:.6},\n",
                 "      \"pruned_bands\": {},\n",
+                "      \"rounds\": {},\n",
                 "      \"speedup_integral_vs_exact_sequential\": {:.4},\n",
                 "      \"speedup_simd_vs_integral_sequential\": {:.4},\n",
                 "      \"speedup_pruned_vs_simd_sequential\": {:.4}\n",
@@ -375,11 +412,12 @@ fn main() {
             r.frame,
             r.template_side,
             r.search_side,
-            r.exact_seq,
-            r.integral_seq,
-            r.simd_seq,
-            r.pruned_seq,
+            exact,
+            integral,
+            simd,
+            pruned,
             r.pruned_bands,
+            r.exact_seq.len(),
             r.speedup_integral(),
             r.speedup_simd(),
             r.speedup_pruned(),
@@ -424,7 +462,7 @@ fn main() {
     // (the small frame spends proportionally more time in fixed setup
     // and CI runners are noisy). Its 5 x 5 sweep sits exactly at the
     // pruning cutover (25 hypotheses), where the screen arms and reads
-    // ~2.7x the exhaustive sweep; the pruned gate there stays a loose
+    // ~3.5-4.5x the exhaustive sweep; the pruned gate there stays a loose
     // no-regression bar against runner noise.
     let mut checks: Vec<(&str, &str, f64, f64)> = Vec::new();
     if small_only {

@@ -224,7 +224,14 @@ pub(crate) fn atb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHAN
 /// The hypothesis-dependent `b^T b` scalar from the static and offset
 /// window sums. Shared with the lane kernels.
 pub(crate) fn btb_from_moments(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHANNELS]) -> f64 {
-    (t[6] - 2.0 * t[0] + s[0]) + (t[7] - 2.0 * t[4] + s[9])
+    let [a, b] = btb_halves(s, t);
+    a + b
+}
+
+/// The a-block and b-block halves of [`btb_from_moments`], each the
+/// constant term of its block's 3 x 3 quadratic.
+pub(crate) fn btb_halves(s: &[f64; STATIC_CHANNELS], t: &[f64; OFFSET_CHANNELS]) -> [f64; 2] {
+    [t[6] - 2.0 * t[0] + s[0], t[7] - 2.0 * t[4] + s[9]]
 }
 
 /// `eps = theta^T A^T A theta - 2 theta^T A^T b + b^T b`, clamping the

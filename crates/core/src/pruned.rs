@@ -1,47 +1,51 @@
 //! The pruned-search fastpath driver — the production matcher: a
-//! coarse-lattice screen plus admissible early termination in one
-//! seed-first sweep, split into row bands that run on the free CPUs, each
-//! over a single resident offset plane, on the [`crate::simd`] lane
-//! kernels, bit-identical to the integral block.
+//! two-level admissible screen plus early termination in one seed-first
+//! sweep, split into row bands that run on the free CPUs, each over a
+//! single resident offset plane, on the [`crate::simd`] lane kernels,
+//! bit-identical to the integral block.
 //!
 //! An exhaustive sweep evaluates every pixel against every
 //! hypothesis offset — `(2 Nzs + 1)^2` O(1) moment evaluations per
 //! pixel, plus one full 8-channel offset SAT *build* per offset. This
-//! driver cuts the evaluations in three moves and keeps the moment store
+//! driver cuts the evaluations in four moves and keeps the moment store
 //! at one plane per band:
 //!
-//! 1. **Coarse screening bound.** For each candidate `(pixel, offset)`
-//!    it computes a *lower bound* on the minimized hypothesis error from
-//!    summed-area tables over the **stride-2 even lattice**
+//! 1. **Coarse screening bound, per 2 x 2 block.** For each frame-aligned
+//!    2 x 2 pixel block `(x / 2, y / 2)` and each offset it computes a
+//!    *lower bound* on the minimized hypothesis error of every member
+//!    pixel from summed-area tables over the **stride-2 even lattice**
 //!    ([`sma_grid::prune::DecimatedMoments`], a quarter of the build
 //!    cost of the full planes). The normal equations decouple into an
 //!    a-block and a b-block (`err = err_a + err_b`, both sums of squared
-//!    residuals), and the even-lattice terms of `err_a` are a subset of
-//!    its full-window terms, so
+//!    residuals), and the even-lattice terms of the block's *common*
+//!    template window — the intersection of its members' windows — are a
+//!    subset of each member's full-window terms of `err_a`, so
 //!    `err >= err_a >= min over theta_a of the even-subset quadratic`
 //!    — a closed 3 x 3 form ([`sma_grid::prune::quad_min`]). Decimation
 //!    (keeping samples) rather than blurring (mixing them) is what makes
-//!    the coarse level *admissible*. Only the a-block is screened: the
-//!    bound must cost less than the O(1) evaluation it replaces, and
-//!    one 4-channel lookup plus one 3 x 3 quadratic does. The bounds are
+//!    the coarse level *admissible*. Only the a-block is screened here:
+//!    the coarse bound need not be tight, since move 4 tightens it, but
+//!    it runs for every (block, offset), so one 4-channel lookup plus one
+//!    3 x 3 quadratic per block is what it may cost. The bounds are
 //!    filled offset-major from one zero-padded decimated table refilled
-//!    per offset, with each pixel's window corners computed once, and
-//!    each pixel's *seed* — its bound argmin, the coarse level's
-//!    displacement estimate — is folded into the fill.
+//!    per offset, with each block's window corners computed once, and
+//!    each block's *seed* — its bound argmin, the coarse level's
+//!    displacement estimate — is folded into the fill; it is the seed of
+//!    each member pixel.
 //! 2. **Seed-first single sweep.** Offsets are then visited once each:
-//!    the distinct seed offsets first (most-seeded first), then the rest
-//!    in ascending raster order. At each offset a pixel is evaluated if
-//!    the offset is its seed or its bound passes the skip threshold of
-//!    its running best; otherwise the candidate is skipped for good.
-//!    Meeting the seed early drives each pixel's best down at once, which
-//!    makes the screen selective for everything visited later. The
-//!    offset's plane is built — into the band's one reused
-//!    `OffsetPlanes` buffer, and only over the block the evaluated
-//!    windows read — when at least one of the band's pixels is evaluated
-//!    there, so a band builds each plane at most once and holds one
-//!    plane at a time.
+//!    the distinct seed offsets first (most-seeded pixels first), then the
+//!    rest in ascending raster order. At each offset a pixel takes the
+//!    candidate if the offset is its seed or its block's bound passes the
+//!    skip threshold of its running best; otherwise the candidate is
+//!    skipped for good. Meeting the seed early drives each pixel's best
+//!    down at once, which makes both screens selective for everything
+//!    visited later. The offset's plane is built — into the band's one
+//!    reused `OffsetPlanes` buffer, and only over the block the taken
+//!    windows read — when at least one of the band's pixels takes it,
+//!    so a band builds each plane at most once and holds one plane at a
+//!    time.
 //! 3. **Safe termination, not approximate termination.** A candidate is
-//!    skipped only when its deflated bound exceeds
+//!    skipped only when a deflated bound exceeds
 //!    `(best + NEAR_TIE_ABS) / (1 - NEAR_TIE_REL)` — strictly outside
 //!    the shared near-tie band around the running best. The winner can
 //!    never be skipped (its true error is below every incumbent), no
@@ -52,6 +56,21 @@
 //!    whatever the visit order. Output is therefore bit-identical to
 //!    the driver's own raster sweep and to [`crate::fastpath`] by
 //!    construction; the conformance matrix pins it at run time.
+//! 4. **Tight screening bound, after the plane is built.** A taken
+//!    candidate that is not its pixel's seed reads its eight window sums
+//!    once, and its error follows in closed form from them: the sum of
+//!    the a- and b-blocks' 3 x 3 minima, from the inverted blocks
+//!    [`crate::simd`]'s `prefactor` keeps per pixel. In exact arithmetic
+//!    that sum *is* the LU path's error, so its guard is derived, not
+//!    sampled: it covers the rounding gap between the two computations,
+//!    which grows with the blocks' conditioning (`TIGHT_GUARD_REL`,
+//!    DESIGN.md §16). A pixel with a block that is not positive definite
+//!    with a margin, or that is conditioned beyond `TIGHT_KAPPA_MAX`,
+//!    has no tight screen. A candidate whose tight bound exceeds the
+//!    threshold is skipped like a coarse skip; the rest go through
+//!    `eval_candidate` with the same sums. On the paper's windows this
+//!    leaves ~1.5 of the 81–225 candidates per pixel to the LU
+//!    evaluation, against ~15 that pass the coarse screen.
 //!
 //! This module alone decides whether to screen. The screen arms only
 //! where it pays and is provably safe: continuous model (the semi-fluid
@@ -78,11 +97,13 @@
 //! down to its own last window row — which is why the cuts balance a
 //! modelled cost (`PREFIX_COST`) rather than the pixel count. A call
 //! runs in two phases: the bands factorize their pixels and fill their
-//! bounds, seeds and seed histograms; the caller sums the histograms
-//! into the one visit order of move 2; then every band searches in that
-//! order. Each pixel therefore meets the same candidates in the same
-//! order as with one band, so neither the output bits nor the per-pixel
-//! counters depend on the band count. The bands' buffers live in a
+//! block bounds, block seeds and per-pixel seed histograms (a block a
+//! cut splits is computed by both of its bands, to the same bits); the
+//! caller sums the histograms into the one visit order of move 2; then
+//! every band searches in that order. Each pixel therefore meets the
+//! same candidates in the same order, against the same bounds, as with
+//! one band, so neither the output bits nor the per-pixel counters
+//! depend on the band count. The bands' buffers live in a
 //! scratch owned by the calling thread and are reused across calls, and
 //! each band polls the call's cancellation token (captured once: it is
 //! thread-local) at every offset.
@@ -93,12 +114,15 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 use sma_fault::{FaultSite, SmaError};
-use sma_grid::prune::{inv3, quad_min, DecimatedMoments, EvenWindow};
+use sma_grid::prune::{inv3, quad_form, quad_min, DecimatedMoments, EvenWindow};
 use sma_grid::Grid;
 
 use crate::cancel::CancelToken;
 use crate::config::{MotionModel, SmaConfig};
-use crate::fastpath::{near_tie, static_channels, StaticMoments, NEAR_TIE_ABS, NEAR_TIE_REL};
+use crate::fastpath::{
+    atb_from_moments, btb_halves, near_tie, static_channels, StaticMoments, NEAR_TIE_ABS,
+    NEAR_TIE_REL, OFFSET_CHANNELS,
+};
 use crate::motion::{track_pixel, MotionEstimate, SmaFrames, GE_SOLVES, HYPOTHESES};
 use crate::sequential::{Region, SmaResult};
 use crate::simd::{
@@ -126,11 +150,18 @@ static PRUNED_NEAR_TIE: sma_obs::Counter = sma_obs::Counter::new("pruned.near_ti
 /// matcher threads hold the other CPUs).
 static PRUNED_BANDS: sma_obs::Counter = sma_obs::Counter::new("pruned.bands");
 /// Candidates never fully evaluated: at its offset's turn in the sweep,
-/// the candidate was not its pixel's seed and its bound exceeded the
-/// skip threshold of the pixel's running best. The non-vacuity tests pin
-/// this above zero so the screen cannot silently degrade to an
-/// exhaustive sweep.
+/// the candidate was not its pixel's seed and either its block's coarse
+/// bound or, once the offset's plane was built, its own tight bound
+/// exceeded the skip threshold of the pixel's running best. With
+/// `sma.hypotheses_evaluated` it sums to the live pixels times the
+/// offsets. The non-vacuity tests pin this above zero so the screen
+/// cannot silently degrade to an exhaustive sweep.
 static CANDIDATES_SKIPPED: sma_obs::Counter = sma_obs::Counter::new("prune.candidates_skipped");
+/// The part of `prune.candidates_skipped` the tight screen skipped:
+/// candidates that passed their block's coarse bound, had their window
+/// sums read from the built plane, and were rejected by the closed-form
+/// bound before the LU evaluation.
+static TIGHT_SKIPPED: sma_obs::Counter = sma_obs::Counter::new("pruned.tight_skipped");
 
 /// Minimum hypothesis count (`(2 nzs + 1)^2`) for the screen to pay for
 /// itself: the bound fill costs roughly one decimated SAT per offset, and
@@ -156,7 +187,11 @@ const MIN_BAND_ROWS: usize = 10;
 /// band's last window row), relative to one of the band's own interior
 /// pixels (factorization, bounds, evaluations). Two-band calls on 96²
 /// Florida and Luis analogs were fastest with weights of 0.25–0.5 (0:
-/// 1.1–1.2× slower, 1–2: 1.1–1.3× slower).
+/// 1.1–1.2× slower, 1–2: 1.1–1.3× slower). Re-measured once the tight
+/// screen left the search mostly plane builds (medians of six
+/// alternating rounds, each against 0.35): weights 0, 0.2, 0.5 and 1
+/// read 1.09, 1.04, 0.98 and 1.05× on Florida and 1.12, 1.06, 1.10 and
+/// 1.09× on Luis.
 const PREFIX_COST: f64 = 0.35;
 
 /// Magnitude ceiling for the screen-arming scan. With every per-pixel
@@ -166,21 +201,39 @@ const PREFIX_COST: f64 = 0.35;
 /// pruned or the exhaustive driver can go non-finite mid-search.
 const SCREEN_MAX_MAGNITUDE: f64 = 1e60;
 
-/// Absolute deflation of the stored bound, absorbing accumulation noise
+/// Absolute deflation of both bounds, absorbing accumulation noise
 /// around zero.
 const LB_GUARD_ABS: f64 = 1e-9;
-/// Relative deflation against the *pre-cancellation* magnitude of the
-/// subset `b^T b` term (`t6 - 2 t0 + s0` cancels heavily on
-/// well-matched candidates, so the noise scales with the summands, not
-/// the result).
+/// Relative deflation of the block bound against the *pre-cancellation*
+/// magnitude of its subset `b^T b` term (`t6 - 2 t0 + s0` cancels
+/// heavily on well-matched candidates, so the noise scales with the
+/// summands, not the result).
 const LB_GUARD_REL: f64 = 5e-12;
-/// Multiplicative safety factor on the final bound. The 3 x 3 quadratic
-/// admits conditioning up to [`sma_grid::prune::DET_RTOL`]`^-1`, which
-/// can amplify relative rounding noise to ~1e-4; deflating by 1e-3
-/// keeps the stored bound a true lower bound with an order of margin,
-/// at the cost of not rejecting candidates within 0.1 % of the
-/// threshold — which the near-tie band would have re-routed anyway.
+/// Multiplicative safety factor on both bounds. The block bound's 3 x 3
+/// quadratic admits conditioning up to
+/// [`sma_grid::prune::DET_RTOL`]`^-1`, which can amplify relative
+/// rounding noise to ~1e-4; deflating by 1e-3 keeps the stored bound a
+/// true lower bound with an order of margin, at the cost of not
+/// rejecting candidates within 0.1 % of the threshold — which the
+/// near-tie band would have re-routed anyway.
 const LB_SAFETY_REL: f64 = 1e-3;
+/// Hadamard-ratio ceiling of the tight screen: a pixel whose a- or
+/// b-block has a larger ratio ([`crate::simd::BlockInverses`]) is always
+/// LU-evaluated. The guard's derivation (DESIGN.md §16) needs the ratio
+/// far below `~3e13`; at 1e8 its first-order terms stay below 1e-5
+/// relative, and beyond it the guard (`>= 1e-5` of the pre-cancellation
+/// magnitude) leaves little of a well-matched candidate's bound anyway.
+const TIGHT_KAPPA_MAX: f64 = 1e8;
+/// Tight-bound guard per unit of Hadamard ratio and of pre-cancellation
+/// magnitude. DESIGN.md §16 bounds the gap between the closed form and
+/// the error [`eval_candidate`] computes from the same window sums by
+/// `610 u kappa mag` (`u = 2^-53`, the unit roundoff): `128 u kappa` from
+/// the adjugate inverses and the quadratic forms, `473 u kappa` from
+/// evaluating the dense 36-term error at the LU solution, whatever that
+/// solution's accuracy, and `4 u` from the final additions. This is
+/// `1024 u`; the admissibility tests saw gaps of at most `3.4 u kappa
+/// mag`.
+const TIGHT_GUARD_REL: f64 = 512.0 * f64::EPSILON;
 
 /// Decimated offset channels screened by the bound: the a-block terms
 /// `[T0, T1, T2, T6]` of the eight fastpath offset channels.
@@ -213,14 +266,41 @@ fn search_threshold(st: &EvalState) -> f64 {
     }
 }
 
-/// Per-pixel screening state: the hoisted corners of the pixel's
-/// even-lattice template window, its static subset sums and the inverted
-/// a-block. A pixel without one (no even sample, or a singular a-block)
-/// is unscreenable — its bound is zero, which rejects nothing.
-struct PixelScreen {
+/// Coarse screening state of one frame-aligned 2 x 2 pixel block
+/// `(x / 2, y / 2)`: the hoisted corners of the even lattice of the
+/// block's common template window (the intersection of its members'
+/// windows), its static subset sums and the inverted a-block. A block
+/// without one (no even sample, or a singular a-block) is unscreenable —
+/// its bound is zero, which rejects nothing.
+struct BlockScreen {
     win: EvenWindow,
     inv_a: [f64; 9],
     s_sub: [f64; 3],
+}
+
+/// The tight screen's lower bound on a candidate's moment error, from
+/// its pixel's inverted blocks and the candidate's offset window sums
+/// `t`: the a- and b-blocks' closed-form minima, from the very rounded
+/// terms the LU evaluation forms (`atb_from_moments`, `btb_halves`),
+/// deflated by a guard that covers the rounding gap to the error
+/// [`eval_candidate`] computes (see [`TIGHT_GUARD_REL`]). Neither block
+/// is clamped at zero:
+/// the LU error clamps only their sum. `-inf`, which rejects nothing,
+/// for a pixel without usable blocks; NaN sums give NaN, which rejects
+/// nothing either.
+#[inline]
+fn tight_bound(sys: &PixelSystem, t: &[f64; OFFSET_CHANNELS]) -> f64 {
+    let Some(b) = sys.blocks.as_ref().filter(|b| b.kappa <= TIGHT_KAPPA_MAX) else {
+        return f64::NEG_INFINITY;
+    };
+    let atb = atb_from_moments(&sys.s, t);
+    let [c_a, c_b] = btb_halves(&sys.s, t);
+    let q_a = quad_form(&[atb[0], atb[2], atb[4]], &b.inv_a);
+    let q_b = quad_form(&[atb[1], atb[3], atb[5]], &b.inv_b);
+    let raw = (c_a - q_a) + (c_b - q_b);
+    let mag = c_a.abs() + q_a.abs() + c_b.abs() + q_b.abs();
+    let guard = LB_GUARD_ABS + TIGHT_GUARD_REL * b.kappa * mag;
+    (raw - guard) * (1.0 - LB_SAFETY_REL)
 }
 
 /// True when every per-pixel input the screen (and the offset planes)
@@ -391,8 +471,10 @@ struct Tally {
     bands: usize,
     /// Candidates that took the moment evaluation.
     evaluated: u64,
-    /// Candidates the screen skipped.
+    /// Candidates the screen skipped, at either level.
     skipped: u64,
+    /// The part of `skipped` the tight screen skipped.
+    tight_skipped: u64,
     /// Distinct offsets whose plane some band built.
     planes_built: u64,
     /// Pixels the near-tie guard re-routed to the exact kernel.
@@ -477,11 +559,17 @@ fn reuse<T>(slot: &mut Option<T>, fits: impl Fn(&T) -> bool, make: impl FnOnce()
 struct Band {
     systems: Vec<PixelSystem>,
     states: Vec<EvalState>,
-    screens: Vec<Option<PixelScreen>>,
-    /// Deflated lower bounds, offset-major: `lb[oi * np + i]`.
+    /// Per pixel: its 2 x 2 block's index in the band's block grid, the
+    /// blocks of the bounding box of the band's pixels in raster order.
+    block_of: Vec<usize>,
+    /// Per block: its coarse screen.
+    screens: Vec<Option<BlockScreen>>,
+    /// Deflated block bounds, offset-major: `lb[oi * nb + b]` over the
+    /// first `n_off * nb` entries. The buffer only grows: every call
+    /// overwrites the entries it reads.
     lb: Vec<f64>,
-    /// Per pixel: its smallest bound and that bound's offset index, the
-    /// pixel's seed.
+    /// Per block: its smallest bound and that bound's offset index, the
+    /// seed of each of its pixels.
     seeds: Vec<(f64, usize)>,
     /// Per pixel: its cached sweep threshold ([`search_threshold`]).
     thr: Vec<f64>,
@@ -495,6 +583,7 @@ struct Band {
     dec: Option<DecimatedMoments<A_CHANNELS>>,
     evaluated: u64,
     skipped: u64,
+    tight_skipped: u64,
 }
 
 thread_local! {
@@ -504,18 +593,24 @@ thread_local! {
 
 impl Band {
     /// Phase one: the band's per-pixel factorizations and, with the
-    /// screen armed, one deflated lower bound per (offset, pixel) and each
-    /// pixel's seed, tallied into the band's seed histogram.
+    /// screen armed, one deflated lower bound per (offset, 2 x 2 block)
+    /// and each block's seed, tallied per pixel into the band's seed
+    /// histogram. A block the band cut splits is computed by both bands
+    /// it touches, to the same bits: its window depends only on its
+    /// coordinates, and both bands fill their tables down to its last
+    /// row.
     fn prepare(&mut self, sh: &Shared, pixels: &[(usize, usize)]) -> Result<(), SmaError> {
         let (frames, cfg) = (sh.frames, sh.cfg);
         let n_off = sh.offsets.len();
         let np = pixels.len();
         self.evaluated = 0;
         self.skipped = 0;
+        self.tight_skipped = 0;
         self.built.clear();
         self.built.resize(n_off, false);
         self.seeded.clear();
         self.seeded.resize(n_off, 0);
+        self.seeds.clear();
         let static_span = sma_obs::span("pruned_static");
         self.systems.clear();
         self.states.clear();
@@ -532,29 +627,55 @@ impl Band {
             return Ok(());
         }
 
-        // Even-lattice static sums, the inverted a-block and the hoisted
-        // window corners, per pixel.
+        // The band's blocks: the frame-aligned 2 x 2 blocks over the
+        // bounding box of its pixels (raster order puts the top row
+        // first and the bottom row last).
         let _screen_span = sma_obs::span("pruned_screen");
         let nt = cfg.nzt;
+        let (bx0, bx1) = pixels.iter().fold((usize::MAX, 0), |(lo, hi), &(x, _)| {
+            (lo.min(x / 2), hi.max(x / 2))
+        });
+        let (by0, by1) = (pixels[0].1 / 2, pixels[np - 1].1 / 2);
+        let nbx = bx1 - bx0 + 1;
+        let nb = nbx * (by1 - by0 + 1);
+        self.block_of.clear();
+        self.block_of.extend(
+            pixels
+                .iter()
+                .map(|&(x, y)| (y / 2 - by0) * nbx + (x / 2 - bx0)),
+        );
+
+        // Even-lattice static sums, the inverted a-block and the hoisted
+        // window corners, per block. The common window of members
+        // `2 bx` and `2 bx + 1` spans columns `2 bx + 1 - nt ..= 2 bx +
+        // nt` (rows alike): inside each member's window, and inside the
+        // frame since some member's window is.
         self.screens.clear();
-        self.screens.extend(pixels.iter().map(|&(x, y)| {
-            let win = dec_static.even_window(x, y, nt)?;
+        self.screens.extend((0..nb).map(|b| {
+            let (bx, by) = (bx0 + b % nbx, by0 + b / nbx);
+            let win = dec_static.even_rect(
+                (
+                    (2 * bx + 1).saturating_sub(nt),
+                    (2 * by + 1).saturating_sub(nt),
+                ),
+                (2 * bx + nt, 2 * by + nt),
+            )?;
             let s = dec_static.sum(&win);
             let a = [
                 s[0], s[1], -s[2], //
                 s[1], s[3], -s[4], //
                 -s[2], -s[4], s[5],
             ];
-            Some(PixelScreen {
+            Some(BlockScreen {
                 win,
                 inv_a: inv3(&a)?,
                 s_sub: [s[0], s[1], s[2]],
             })
         }));
 
-        // One deflated lower bound per (offset, pixel), offset-major,
+        // One deflated lower bound per (offset, block), offset-major,
         // from one decimated a-channel table refilled per offset down to
-        // the band's last window row. Each pixel's seed — the offset
+        // the band's last window row. Each block's seed — the offset
         // with the smallest bound, strict `<` so the first in raster
         // order wins ties — folds into the fill.
         let (w, h) = frames.dims();
@@ -565,11 +686,12 @@ impl Band {
             || DecimatedMoments::new(w, h),
         );
         let rows = sat_extent(pixels.iter().copied(), nt).1;
-        self.lb.clear();
-        self.lb.resize(n_off * np, 0.0);
-        self.seeds.clear();
-        self.seeds.resize(np, (f64::INFINITY, 0));
-        for (oi, (&(ox, oy), out)) in sh.offsets.iter().zip(self.lb.chunks_mut(np)).enumerate() {
+        if self.lb.len() < n_off * nb {
+            self.lb.resize(n_off * nb, 0.0);
+        }
+        self.seeds.resize(nb, (f64::INFINITY, 0));
+        let lb = &mut self.lb[..n_off * nb];
+        for (oi, (&(ox, oy), out)) in sh.offsets.iter().zip(lb.chunks_mut(nb)).enumerate() {
             sh.poll()?;
             dec.fill_rows(rows, |x, y| {
                 let sx = (x as isize + ox).clamp(0, w as isize - 1) as usize;
@@ -598,20 +720,23 @@ impl Band {
                 }
             }
         }
-        for (&(_, soi), st) in self.seeds.iter().zip(&self.states) {
+        for (&b, st) in self.block_of.iter().zip(&self.states) {
             if !st.done {
-                self.seeded[soi] += 1;
+                self.seeded[self.seeds[b].1] += 1;
             }
         }
         Ok(())
     }
 
     /// Phase two: visit the offsets in the call's `order`. At each, a
-    /// pixel is evaluated if the screen is off, the offset is its seed,
-    /// or its bound passes the skip threshold of its running best (cached
-    /// per pixel, renewed after each evaluation); the offset's plane is
-    /// built into the band's one resident buffer, over the block the
-    /// evaluated windows read, only when some pixel is evaluated there.
+    /// pixel takes the candidate if the screen is off, the offset is its
+    /// block's seed, or its block's bound passes the skip threshold of the
+    /// pixel's running best (cached per pixel, renewed after each
+    /// evaluation); the offset's plane is built into the band's one
+    /// resident buffer, over the block the taken windows read, only when
+    /// some pixel takes it. Each taken candidate's window sums are read
+    /// once: off its seed, a tight bound above the threshold skips it,
+    /// and otherwise it is evaluated from the same sums.
     fn search(
         &mut self,
         sh: &Shared,
@@ -634,14 +759,13 @@ impl Band {
             let (ox, oy) = sh.offsets[oi];
             self.todo.clear();
             if screened {
-                let col = &self.lb[oi * np..(oi + 1) * np];
-                for (i, ((&b, &t), &(_, seed))) in
-                    col.iter().zip(&self.thr).zip(&self.seeds).enumerate()
-                {
+                let nb = self.seeds.len();
+                let col = &self.lb[oi * nb..(oi + 1) * nb];
+                for (i, (&t, &b)) in self.thr.iter().zip(&self.block_of).enumerate() {
                     if t.is_nan() {
                         continue;
                     }
-                    if b > t && seed != oi {
+                    if col[b] > t && self.seeds[b].1 != oi {
                         self.skipped += 1;
                     } else {
                         self.todo.push(i);
@@ -668,8 +792,19 @@ impl Band {
             self.built[oi] = true;
             let _eval_span = sma_obs::span("pruned_eval");
             for &i in &self.todo {
+                let (x, y) = pixels[i];
+                let t = planes.window_sum(x, y, cfg.nzt);
+                let sys = &self.systems[i];
+                if screened
+                    && self.seeds[self.block_of[i]].1 != oi
+                    && tight_bound(sys, &t) > self.thr[i]
+                {
+                    self.skipped += 1;
+                    self.tight_skipped += 1;
+                    continue;
+                }
                 let st = &mut self.states[i];
-                if eval_candidate(frames, cfg, planes, pixels[i], &self.systems[i], st, ox, oy) {
+                if eval_candidate(frames, cfg, (x, y), sys, st, (ox, oy), &t) {
                     self.evaluated += 1;
                 }
                 self.thr[i] = search_threshold(st);
@@ -777,6 +912,7 @@ fn sweep(
         bands: n,
         evaluated: bands.iter().map(|b| b.evaluated).sum(),
         skipped: bands.iter().map(|b| b.skipped).sum(),
+        tight_skipped: bands.iter().map(|b| b.tight_skipped).sum(),
         planes_built: (0..n_off)
             .filter(|&oi| bands.iter().any(|b| b.built[oi]))
             .count() as u64,
@@ -873,6 +1009,7 @@ fn track_banded(
     HYPOTHESES.add(tally.evaluated);
     GE_SOLVES.add(tally.evaluated);
     CANDIDATES_SKIPPED.add(tally.skipped);
+    TIGHT_SKIPPED.add(tally.tight_skipped);
     PRUNED_PLANES.add(tally.planes_built);
     PRUNED_BANDS.add(tally.bands as u64);
 
@@ -916,6 +1053,7 @@ mod tests {
     use super::*;
     use crate::config::MotionModel;
     use crate::fastpath::track_all_integral;
+    use crate::simd::OffsetPlanes;
     use sma_grid::warp::translate;
     use sma_grid::{BorderPolicy, Vec2};
     use sma_satdata::{florida_thunderstorm_analog, hurricane_luis_analog, SceneSequence};
@@ -951,11 +1089,7 @@ mod tests {
         let f = |x: f32, y: f32| {
             (x * 0.45).sin() * 2.0 + (y * 0.35).cos() * 1.5 + (x * 0.12 + y * 0.21).sin() * 3.0
         };
-        let before = Grid::from_fn(30, 30, |x, y| f(x as f32, y as f32));
-        let after = Grid::from_fn(30, 30, |x, y| {
-            f((x as i32 + dx) as f32, (y as i32 + dy) as f32)
-        });
-        SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
+        surface_frames(30, f, (dx as f32, dy as f32), cfg)
     }
 
     #[test]
@@ -1176,6 +1310,33 @@ mod tests {
     }
 
     #[test]
+    fn identity_cuts_split_blocks() {
+        // `band_count_changes_no_bit_and_no_tally` shows nothing about
+        // blocks unless some of its screened cuts fall inside a 2 x 2
+        // block: a band starting on an odd row shares its first block
+        // row with the band above. At 3 bands the Florida cuts fall on
+        // even rows and a Luis cut on an odd one; at 7 both split blocks.
+        for n in [3, 7] {
+            let mut split = 0;
+            for cfg in [SmaConfig::goes9_florida(), SmaConfig::hurricane_luis()] {
+                let interior: Vec<(usize, usize)> = Region::Interior {
+                    margin: cfg.margin(),
+                }
+                .bounds_checked(64, 64)
+                .expect("region")
+                .pixels()
+                .collect();
+                let cuts = split_bands(&interior, n, 64, cfg.nzt);
+                split += cuts[1..n]
+                    .iter()
+                    .filter(|&&c| interior[c].1 % 2 == 1)
+                    .count();
+            }
+            assert!(split > 0, "no {n}-band cut splits a block");
+        }
+    }
+
+    #[test]
     fn cancellation_reaches_every_band() {
         // A cancelled token installed on the calling thread, captured as
         // `track_banded` captures it, must stop every band of a 3-band
@@ -1277,6 +1438,155 @@ mod tests {
             }
             assert!(rows.windows(2).all(|r| r[0] >= r[1]), "n={n} {rows:?}");
         }
+    }
+
+    /// Frames whose surface and intensity are `z` at `(x, y)` before
+    /// and at `(x + dx, y + dy)` after.
+    fn surface_frames(
+        w: usize,
+        z: impl Fn(f32, f32) -> f32,
+        (dx, dy): (f32, f32),
+        cfg: &SmaConfig,
+    ) -> SmaFrames {
+        let before = Grid::from_fn(w, w, |x, y| z(x as f32, y as f32));
+        let after = Grid::from_fn(w, w, |x, y| z(x as f32 + dx, y as f32 + dy));
+        SmaFrames::prepare(&before, &after, &before, &after, cfg).expect("prepare")
+    }
+
+    /// What [`assert_bounds_admissible`] checked.
+    #[derive(Debug, Default)]
+    struct Checked {
+        /// Candidates with a usable tight bound.
+        tight: usize,
+        /// Of those, the ones whose tight bound lies within 1 % of the
+        /// error: the closed form is the LU error, less its guard.
+        tight_within_1pc: usize,
+        /// Candidates with a positive block bound.
+        coarse: usize,
+        /// The largest Hadamard ratio among pixels the tight screen
+        /// serves.
+        max_kappa: f64,
+    }
+
+    /// Every interior candidate's moment error, computed by
+    /// `eval_candidate` exhaustively over all offsets, must lie at or
+    /// above both the block bound its band stored and the tight bound
+    /// from the candidate's window sums. Holds the toggle lock, so the
+    /// screen is armed.
+    fn assert_bounds_admissible(f: &SmaFrames, cfg: &SmaConfig, tag: &str) -> Checked {
+        let _toggle = TOGGLE.lock().unwrap_or_else(|e| e.into_inner());
+        let (w, h) = f.dims();
+        let template = cfg.template_window();
+        let pixels: Vec<(usize, usize)> = Region::Full
+            .bounds_checked(w, h)
+            .expect("region")
+            .pixels()
+            .filter(|&(x, y)| template.fits_at(x, y, w, h))
+            .collect();
+        let sh = Shared::new(f, cfg, None);
+        assert!(sh.dec_static.is_some(), "{tag}: the screen must arm");
+        let mut band = Band::default();
+        band.prepare(&sh, &pixels).expect("prepare");
+        let nb = band.seeds.len();
+        let mut planes = OffsetPlanes::new(w, h);
+        let mut checked = Checked::default();
+        for sys in band.systems.iter().filter_map(|s| s.blocks.as_ref()) {
+            if sys.kappa <= TIGHT_KAPPA_MAX {
+                checked.max_kappa = checked.max_kappa.max(sys.kappa);
+            }
+        }
+        for (oi, &(ox, oy)) in sh.offsets.iter().enumerate() {
+            let (stat, gx, gy) = (&sh.stat, &sh.gx_plane, &sh.gy_plane);
+            planes.build(f, cfg, stat, gx, gy, (ox, oy), (w, h));
+            for (i, &(x, y)) in pixels.iter().enumerate() {
+                let sys = &band.systems[i];
+                let t = planes.window_sum(x, y, cfg.nzt);
+                let mut st = EvalState {
+                    best: MotionEstimate::invalid(),
+                    second: f64::INFINITY,
+                    done: false,
+                };
+                let evaluated = eval_candidate(f, cfg, (x, y), sys, &mut st, (ox, oy), &t);
+                if band.states[i].done || !evaluated || !st.best.valid {
+                    continue;
+                }
+                let err = st.best.error;
+                let what = format!("{tag}: ({x},{y}) offset ({ox},{oy}) error {err:e}");
+                let coarse = band.lb[oi * nb + band.block_of[i]];
+                assert!(coarse <= err, "{what}: block bound {coarse:e}");
+                checked.coarse += usize::from(coarse > 0.0);
+                let tight = tight_bound(sys, &t);
+                assert!(tight <= err, "{what}: tight bound {tight:e}");
+                if tight.is_finite() {
+                    checked.tight += 1;
+                    checked.tight_within_1pc += usize::from(tight >= 0.99 * err);
+                }
+            }
+        }
+        checked
+    }
+
+    /// A smooth, richly textured surface drawn from `seed`.
+    fn textured_surface(seed: u64) -> impl Fn(f32, f32) -> f32 {
+        let s = (seed % 1000) as f32 * 0.013;
+        move |x, y| {
+            (x * (0.41 + 0.05 * s)).sin() * 2.0
+                + (y * 0.33 + s).cos() * 1.5
+                + (x * 0.13 + y * 0.21 + 3.0 * s).sin() * 3.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(10))]
+
+        #[test]
+        fn bounds_are_admissible_on_random_scenes(
+            seed in 0u64..10_000,
+            dx in -2.0f32..2.0,
+            dy in -2.0f32..2.0,
+            wide in 0u8..2,
+        ) {
+            let cfg = if wide == 1 {
+                SmaConfig { nzs: 3, ..SmaConfig::small_test(MotionModel::Continuous) }
+            } else {
+                SmaConfig::small_test(MotionModel::Continuous)
+            };
+            let f = surface_frames(28, textured_surface(seed), (dx, dy), &cfg);
+            let c = assert_bounds_admissible(&f, &cfg, &format!("seed {seed}"));
+            proptest::prop_assert!(c.tight > 0 && c.coarse > 0, "{c:?}");
+            proptest::prop_assert!(2 * c.tight_within_1pc > c.tight, "{c:?}");
+        }
+    }
+
+    #[test]
+    fn bounds_are_admissible_on_near_collinear_gradients() {
+        // Surfaces that are nearly a function of one direction, `g(x +
+        // 0.6 y) + eps h(x, y)`, so `zy ~ 0.6 zx` across every window,
+        // and nearly a plane, `0.5 x + 0.3 y + eps h(x, y)`, so `zx`,
+        // `zy` and the constant column nearly align: both blocks are
+        // ill-conditioned but invertible, down to Hadamard ratios near
+        // the tight screen's ceiling.
+        let cfg = SmaConfig::small_test(MotionModel::Continuous);
+        let h = |x: f32, y: f32| (x * 0.37).sin() * (y * 0.29).cos() + (x * 0.11 - y * 0.23).sin();
+        let mut max_kappa = 0.0f64;
+        for eps in [1e-1f32, 1e-2, 1e-3] {
+            let ridge = move |x: f32, y: f32| ((x + 0.6 * y) * 0.31).sin() * 4.0 + eps * h(x, y);
+            let plane = move |x: f32, y: f32| 0.5 * x + 0.3 * y + eps * h(x, y);
+            for (name, shift) in [("ridge", (1.0, -1.0)), ("ridge", (0.4, 0.7))] {
+                let f = surface_frames(28, ridge, shift, &cfg);
+                let c = assert_bounds_admissible(&f, &cfg, &format!("{name} eps {eps}"));
+                max_kappa = max_kappa.max(c.max_kappa);
+            }
+            for shift in [(1.0, 0.0), (-0.6, 0.3)] {
+                let f = surface_frames(28, plane, shift, &cfg);
+                let c = assert_bounds_admissible(&f, &cfg, &format!("plane eps {eps}"));
+                max_kappa = max_kappa.max(c.max_kappa);
+            }
+        }
+        assert!(
+            max_kappa > 1e4,
+            "no ill-conditioned block was exercised: {max_kappa:e}"
+        );
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! The conformance matrix pins the pruned driver's contract against the
 //! scalar integral family at run time.
 
+use sma_grid::prune::inv3_spd;
 use sma_grid::{Grid, Vec2};
 use sma_linalg::gauss::Lu6;
 
@@ -46,13 +47,51 @@ use crate::fastpath::{
 use crate::motion::{refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames};
 use crate::template_map::semifluid_correspondence;
 
-/// Per-pixel hypothesis-independent state: static window sums, the
-/// assembled `A^T A`, and its LU factorization (`None` = singular, which
-/// `solve6` would report for *every* hypothesis of this pixel).
+/// Per-pixel hypothesis-independent state: static window sums, the LU
+/// factorization of `A^T A` (`None` = singular, which `solve6` would
+/// report for *every* hypothesis of this pixel), and the inverted a- and
+/// b-blocks the pruned driver's tight screen reads. `A^T A` itself (288
+/// bytes) is not kept: [`eval_candidate`] re-expands it from `s` with
+/// `ata_from_static`, as the factorization does.
 pub(crate) struct PixelSystem {
     pub(crate) s: [f64; STATIC_CHANNELS],
-    pub(crate) ata: [f64; 36],
     pub(crate) lu: Option<Lu6>,
+    pub(crate) blocks: Option<BlockInverses>,
+}
+
+/// The two decoupled 3 x 3 blocks of a pixel's `A^T A`, inverted:
+/// `A_a = [[S0, S1, -S2], [S1, S3, -S4], [-S2, -S4, S5]]` (parameters
+/// `a_i, a_j, a_k`) and `A_b = [[S6, S7, -S8], [S7, S9, -S10], [-S8,
+/// -S10, S11]]` (`b_i, b_j, b_k`), each positive definite with a margin
+/// ([`sma_grid::prune::inv3_spd`]), and `kappa`, the larger of their two
+/// Hadamard ratios: the condition estimate the tight screen's guard
+/// scales with.
+pub(crate) struct BlockInverses {
+    pub(crate) inv_a: [f64; 9],
+    pub(crate) inv_b: [f64; 9],
+    pub(crate) kappa: f64,
+}
+
+impl BlockInverses {
+    /// Both blocks of the static sums `s`, when both are positive
+    /// definite with a margin.
+    fn of(s: &[f64; STATIC_CHANNELS]) -> Option<Self> {
+        let (inv_a, kappa_a) = inv3_spd(&[
+            s[0], s[1], -s[2], //
+            s[1], s[3], -s[4], //
+            -s[2], -s[4], s[5],
+        ])?;
+        let (inv_b, kappa_b) = inv3_spd(&[
+            s[6], s[7], -s[8], //
+            s[7], s[9], -s[10], //
+            -s[8], -s[10], s[11],
+        ])?;
+        Some(Self {
+            inv_a,
+            inv_b,
+            kappa: kappa_a.max(kappa_b),
+        })
+    }
 }
 
 /// Per-pixel running search state, carried across the pruned driver's
@@ -216,11 +255,11 @@ impl OffsetPlanes {
 }
 
 /// Per-pixel static phase of the pruned driver: the
-/// static window sums, the assembled `A^T A` and its LU factorization
-/// (counted on `factorizations`), plus the pixel's initial search state.
-/// Non-finite static sums re-route the pixel through the exact kernel
-/// at once and mark it done — the scalar path takes the same route at
-/// its first evaluation.
+/// static window sums, the LU factorization of `A^T A` (counted on
+/// `factorizations`) and, where it factors, the inverted blocks, plus
+/// the pixel's initial search state. Non-finite static sums re-route the
+/// pixel through the exact kernel at once and mark it done — the scalar
+/// path takes the same route at its first evaluation.
 pub(crate) fn prefactor(
     frames: &SmaFrames,
     cfg: &SmaConfig,
@@ -234,8 +273,8 @@ pub(crate) fn prefactor(
         return (
             PixelSystem {
                 s,
-                ata: [0.0; 36],
                 lu: None,
+                blocks: None,
             },
             EvalState {
                 best: track_pixel(frames, cfg, x, y),
@@ -244,11 +283,11 @@ pub(crate) fn prefactor(
             },
         );
     }
-    let ata = ata_from_static(&s);
     factorizations.incr();
-    let lu = Lu6::factor(&ata).ok();
+    let lu = Lu6::factor(&ata_from_static(&s)).ok();
+    let blocks = lu.as_ref().and_then(|_| BlockInverses::of(&s));
     (
-        PixelSystem { s, ata, lu },
+        PixelSystem { s, lu, blocks },
         EvalState {
             best: MotionEstimate::invalid(),
             second: f64::INFINITY,
@@ -257,10 +296,11 @@ pub(crate) fn prefactor(
     )
 }
 
-/// Evaluate hypothesis `(ox, oy)` for interior pixel `(x, y)` against
-/// the offset's resident `planes`, updating the pixel's running best and
-/// runner-up in place. Every candidate the pruned driver evaluates, in
-/// its screened sweep or its raster sweep, goes through this one
+/// Evaluate hypothesis `(ox, oy)` for interior pixel `(x, y)` from the
+/// candidate's offset window sums `t` (read once by the caller from the
+/// offset's resident [`OffsetPlanes`]), updating the pixel's running best
+/// and runner-up in place. Every candidate the pruned driver evaluates,
+/// in its screened sweep or its raster sweep, goes through this one
 /// function, so an evaluation yields the same bits whatever the order
 /// candidates are visited in.
 ///
@@ -270,19 +310,16 @@ pub(crate) fn prefactor(
 /// concurrent row bands do not contend on the shared counters — and
 /// `false` when a non-finite window sum sent the pixel to the exact
 /// kernel (which counts its own hypotheses).
-#[allow(clippy::too_many_arguments)] // hot-loop state threading
 #[inline]
 pub(crate) fn eval_candidate(
     frames: &SmaFrames,
     cfg: &SmaConfig,
-    planes: &OffsetPlanes,
     (x, y): (usize, usize),
     sys: &PixelSystem,
     st: &mut EvalState,
-    ox: isize,
-    oy: isize,
+    (ox, oy): (isize, isize),
+    t: &[f64; OFFSET_CHANNELS],
 ) -> bool {
-    let t = planes.window_sum(x, y, cfg.nzt);
     if !t.iter().all(|v| v.is_finite()) {
         sma_fault::note_natural_degradation();
         st.best = track_pixel(frames, cfg, x, y);
@@ -291,8 +328,8 @@ pub(crate) fn eval_candidate(
         return false;
     }
     let s = &sys.s;
-    let atb = atb_from_moments(s, &t);
-    let btb = btb_from_moments(s, &t);
+    let atb = atb_from_moments(s, t);
+    let btb = btb_from_moments(s, t);
     let sol = match &sys.lu {
         Some(lu) => {
             let mut b = atb;
@@ -310,7 +347,7 @@ pub(crate) fn eval_candidate(
             [0.0, 0.0, 0.0, 0.0, atb[4] / s[5], atb[5] / s[11]]
         }
     };
-    let error = moment_error(&sys.ata, &atb, btb, &sol);
+    let error = moment_error(&ata_from_static(s), &atb, btb, &sol);
     if error < st.best.error {
         st.second = st.best.error;
         let (rx, ry) = refined_displacement(frames, cfg, x, y, ox, oy);

@@ -4,7 +4,9 @@
 //! * On the paper's windows one call builds each hypothesis offset's
 //!   moment plane at most once, so `pruned.offset_planes_built` never
 //!   exceeds `(2 Nzs + 1)^2` per call, while the screen still skips
-//!   candidates.
+//!   candidates — at both levels: the tight screen skips candidates the
+//!   block bound let through, and at most three candidates per interior
+//!   pixel take the LU evaluation.
 //! * The driver owns the decision to screen: below
 //!   [`PRUNE_MIN_HYPOTHESES`] (a 3 x 3 sweep) it runs the raster sweep,
 //!   skipping nothing and building every plane; at 5 x 5 the screen
@@ -38,17 +40,41 @@ fn pair(seq: &SceneSequence, t: usize, cfg: &SmaConfig) -> SmaFrames {
     .expect("prepare")
 }
 
-/// One pruned call's result with its `(planes built, candidates
-/// skipped)`.
-fn pruned_counts(f: &SmaFrames, cfg: &SmaConfig, region: Region) -> (SmaResult, u64, u64) {
-    let planes0 = counter("pruned.offset_planes_built");
-    let skipped0 = counter("prune.candidates_skipped");
+/// What one pruned call counted.
+struct Counts {
+    planes: u64,
+    skipped: u64,
+    tight_skipped: u64,
+    evaluated: u64,
+    interior: u64,
+}
+
+/// One pruned call's result with its [`Counts`].
+fn pruned_counts(f: &SmaFrames, cfg: &SmaConfig, region: Region) -> (SmaResult, Counts) {
+    let names = [
+        "pruned.offset_planes_built",
+        "prune.candidates_skipped",
+        "pruned.tight_skipped",
+        "sma.hypotheses_evaluated",
+        "pruned.interior_pixels",
+    ];
+    let before = names.map(counter);
     let result = track_all_pruned(f, cfg, region).expect("pruned");
-    (
-        result,
-        counter("pruned.offset_planes_built") - planes0,
-        counter("prune.candidates_skipped") - skipped0,
-    )
+    let [planes, skipped, tight_skipped, evaluated, interior] = {
+        let mut after = names.map(counter);
+        for (a, b) in after.iter_mut().zip(before) {
+            *a -= b;
+        }
+        after
+    };
+    let counts = Counts {
+        planes,
+        skipped,
+        tight_skipped,
+        evaluated,
+        interior,
+    };
+    (result, counts)
 }
 
 #[test]
@@ -75,15 +101,26 @@ fn each_offset_plane_is_built_at_most_once_per_call() {
         };
         for t in 0..2 {
             let f = pair(seq, t, cfg);
-            let (_, planes, skipped) = pruned_counts(&f, cfg, region);
+            let (_, c) = pruned_counts(&f, cfg, region);
             let what = format!("{tag} pair {t}");
-            assert!(planes >= 1, "{what}: no plane built");
+            assert!(c.planes >= 1, "{what}: no plane built");
             assert!(
-                planes <= side * side,
-                "{what}: {planes} planes built for {} offsets",
+                c.planes <= side * side,
+                "{what}: {} planes built for {} offsets",
+                c.planes,
                 side * side
             );
-            assert!(skipped > 0, "{what}: the screen skipped nothing");
+            assert!(c.skipped > 0, "{what}: the screen skipped nothing");
+            assert!(
+                c.tight_skipped > 0,
+                "{what}: the tight screen skipped nothing"
+            );
+            assert!(
+                c.evaluated <= 3 * c.interior,
+                "{what}: {} evaluations over {} interior pixels",
+                c.evaluated,
+                c.interior
+            );
         }
     }
 }
@@ -104,16 +141,20 @@ fn screen_arms_at_the_hypothesis_cutover() {
             margin: cfg.margin(),
         };
         let f = pair(&seq, 0, &cfg);
-        let (pruned, planes, skipped) = pruned_counts(&f, &cfg, region);
+        let (pruned, c) = pruned_counts(&f, &cfg, region);
         if hypotheses < PRUNE_MIN_HYPOTHESES {
-            assert_eq!(skipped, 0, "{hypotheses} hypotheses: the screen armed");
             assert_eq!(
-                planes, hypotheses as u64,
+                (c.skipped, c.tight_skipped),
+                (0, 0),
+                "{hypotheses} hypotheses: the screen armed"
+            );
+            assert_eq!(
+                c.planes, hypotheses as u64,
                 "{hypotheses} hypotheses: the raster sweep builds every plane"
             );
         } else {
             assert!(
-                skipped > 0,
+                c.skipped > 0,
                 "{hypotheses} hypotheses: the screen skipped nothing"
             );
         }

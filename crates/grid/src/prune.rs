@@ -16,8 +16,10 @@
 //! * [`inv3`] / [`quad_min`] — the closed-form minimum of a 3-variable
 //!   least-squares quadratic `theta^T A theta - 2 theta^T b + c`,
 //!   namely `c - b^T A^-1 b`, clamped at zero. The SMA normal equations
-//!   decouple into two such 3 x 3 blocks, so two of these evaluations
-//!   bound a candidate's full 6-parameter minimum from below.
+//!   decouple into two such 3 x 3 blocks, so one of these evaluations
+//!   on decimated sums bounds a candidate's full 6-parameter minimum
+//!   from below, and two on full sums ([`inv3_spd`], [`quad_form`])
+//!   give that minimum in closed form.
 //!
 //! The runtime toggle (`SMA_PRUNE=off`, or [`set_enabled`]) disarms the
 //! screen; the pruned driver then runs a plain raster sweep over every
@@ -79,7 +81,7 @@ pub fn set_enabled(on: bool) {
 ///
 /// The table is **zero-padded** — `(cw + 1) x (ch + 1)` cells with a
 /// permanent zero row 0 and column 0 — so a window sum is four
-/// branch-free lookups at indices that [`DecimatedMoments::even_window`]
+/// branch-free lookups at indices that [`DecimatedMoments::even_rect`]
 /// computes once per window, and [`DecimatedMoments::fill`] refills the
 /// same buffer (the pruned driver keeps one table per row band and
 /// refills it per hypothesis offset, down to the band's last window row
@@ -163,15 +165,17 @@ impl<const K: usize> DecimatedMoments<K> {
         (self.fine_w, self.fine_h)
     }
 
-    /// Corner indices of the even-coordinate subset of the `(2 n + 1)^2`
-    /// window centered at `(cx, cy)` of the fine plane, clipped to the
-    /// plane. `None` when the window contains no even lattice point
-    /// (possible only for `n == 0` at an odd coordinate).
-    pub fn even_window(&self, cx: usize, cy: usize, n: usize) -> Option<EvenWindow> {
-        let x0 = cx.saturating_sub(n);
-        let y0 = cy.saturating_sub(n);
-        let x1 = (cx + n).min(self.fine_w.saturating_sub(1));
-        let y1 = (cy + n).min(self.fine_h.saturating_sub(1));
+    /// Corner indices of the even-coordinate subset of the fine
+    /// rectangle with inclusive corners `(x0, y0)` and `(x1, y1)`, clipped
+    /// to the plane. `None` when the rectangle contains no even lattice
+    /// point (an empty rectangle, or one a single odd column or row wide).
+    pub fn even_rect(
+        &self,
+        (x0, y0): (usize, usize),
+        (x1, y1): (usize, usize),
+    ) -> Option<EvenWindow> {
+        let x1 = x1.min(self.fine_w.saturating_sub(1));
+        let y1 = y1.min(self.fine_h.saturating_sub(1));
         // Even x in [x0, x1]  <=>  coarse cx in [ceil(x0/2), floor(x1/2)];
         // padded column c + 1 holds coarse column c, column 0 is the pad.
         let cx0 = x0.div_ceil(2);
@@ -190,7 +194,7 @@ impl<const K: usize> DecimatedMoments<K> {
         })
     }
 
-    /// Per-channel sum over a window from [`even_window`](Self::even_window)
+    /// Per-channel sum over a window from [`even_rect`](Self::even_rect)
     /// of a table with the same dimensions, with `rect_sum`'s
     /// `((a - b) - c) + d` corner grouping.
     #[inline]
@@ -205,26 +209,6 @@ impl<const K: usize> DecimatedMoments<K> {
         }
         out
     }
-
-    /// Per-channel sum over the even-coordinate subset of the
-    /// `(2 n + 1)^2` window centered at `(cx, cy)` of the fine plane,
-    /// clipped to the plane. `None` when the window contains no even
-    /// lattice point.
-    pub fn even_window_sum(&self, cx: usize, cy: usize, n: usize) -> Option<[f64; K]> {
-        self.even_window(cx, cy, n).map(|win| self.sum(&win))
-    }
-
-    /// Number of even lattice points inside the (clipped) window — the
-    /// subset's sample count, for diagnostics and tests.
-    pub fn even_window_count(&self, cx: usize, cy: usize, n: usize) -> usize {
-        let x0 = cx.saturating_sub(n);
-        let y0 = cy.saturating_sub(n);
-        let x1 = (cx + n).min(self.fine_w.saturating_sub(1));
-        let y1 = (cy + n).min(self.fine_h.saturating_sub(1));
-        let nx = (x1 / 2 + 1).saturating_sub(x0.div_ceil(2));
-        let ny = (y1 / 2 + 1).saturating_sub(y0.div_ceil(2));
-        nx * ny
-    }
 }
 
 /// Relative determinant tolerance below which a 3 x 3 system is treated
@@ -236,6 +220,31 @@ pub const DET_RTOL: f64 = 1e-12;
 /// `None` when the determinant is non-finite or small relative to the
 /// matrix scale. The caller treats `None` as "no usable bound".
 pub fn inv3(m: &[f64; 9]) -> Option<[f64; 9]> {
+    inv3_det(m).map(|(inv, _)| inv)
+}
+
+/// [`inv3`] of a symmetric matrix that is positive definite with a
+/// margin, with its *Hadamard ratio* `m00 m11 m22 / det`: the reciprocal
+/// determinant of the unit-diagonal scaling `D^-1/2 M D^-1/2`, which is
+/// at least 1 and bounds that scaling's smallest eigenvalue from below
+/// by `1 / (2.25 ratio)` (its eigenvalues sum to 3). `None` unless every
+/// diagonal entry is positive, every off-diagonal entry is smaller in
+/// magnitude than the geometric mean of its two diagonal entries (the
+/// scaling's off-diagonal entries lie in `(-1, 1)`), and [`inv3`]
+/// succeeds with a positive determinant.
+pub fn inv3_spd(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
+    let (d0, d1, d2) = (m[0], m[4], m[8]);
+    let diagonal = d0 > 0.0 && d1 > 0.0 && d2 > 0.0;
+    let bounded = m[1] * m[1] < d0 * d1 && m[2] * m[2] < d0 * d2 && m[5] * m[5] < d1 * d2;
+    if !(diagonal && bounded) {
+        return None;
+    }
+    let (inv, det) = inv3_det(m)?;
+    (det > 0.0).then(|| (inv, d0 * d1 * d2 / det))
+}
+
+/// [`inv3`] and the determinant it divided by.
+fn inv3_det(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
     let c00 = m[4] * m[8] - m[5] * m[7];
     let c01 = m[5] * m[6] - m[3] * m[8];
     let c02 = m[3] * m[7] - m[4] * m[6];
@@ -260,7 +269,7 @@ pub fn inv3(m: &[f64; 9]) -> Option<[f64; 9]> {
         (m[1] * m[6] - m[0] * m[7]) / det,
         (m[0] * m[4] - m[1] * m[3]) / det,
     ];
-    inv.iter().all(|v| v.is_finite()).then_some(inv)
+    inv.iter().all(|v| v.is_finite()).then_some((inv, det))
 }
 
 /// The minimum of the least-squares quadratic
@@ -271,10 +280,7 @@ pub fn inv3(m: &[f64; 9]) -> Option<[f64; 9]> {
 /// nothing, never an unsound one.
 #[inline]
 pub fn quad_min(c: f64, b: &[f64; 3], inv: &[f64; 9]) -> f64 {
-    let ib0 = inv[0] * b[0] + inv[1] * b[1] + inv[2] * b[2];
-    let ib1 = inv[3] * b[0] + inv[4] * b[1] + inv[5] * b[2];
-    let ib2 = inv[6] * b[0] + inv[7] * b[1] + inv[8] * b[2];
-    let m = c - (b[0] * ib0 + b[1] * ib1 + b[2] * ib2);
+    let m = c - quad_form(b, inv);
     if m.is_finite() {
         m.max(0.0)
     } else {
@@ -282,10 +288,43 @@ pub fn quad_min(c: f64, b: &[f64; 3], inv: &[f64; 9]) -> f64 {
     }
 }
 
+/// The quadratic form `b^T A^-1 b`, given `A^-1`: the amount the
+/// minimum of `theta^T A theta - 2 theta^T b + c` lies below `c`.
+#[inline]
+pub fn quad_form(b: &[f64; 3], inv: &[f64; 9]) -> f64 {
+    let ib0 = inv[0] * b[0] + inv[1] * b[1] + inv[2] * b[2];
+    let ib1 = inv[3] * b[0] + inv[4] * b[1] + inv[5] * b[2];
+    let ib2 = inv[6] * b[0] + inv[7] * b[1] + inv[8] * b[2];
+    b[0] * ib0 + b[1] * ib1 + b[2] * ib2
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::integral::MomentIntegral;
+
+    /// The even window of the `(2 n + 1)^2` template centered at
+    /// `(cx, cy)`, clipped to the plane.
+    fn centered<const K: usize>(
+        d: &DecimatedMoments<K>,
+        cx: usize,
+        cy: usize,
+        n: usize,
+    ) -> Option<EvenWindow> {
+        d.even_rect(
+            (cx.saturating_sub(n), cy.saturating_sub(n)),
+            (cx + n, cy + n),
+        )
+    }
+
+    fn centered_sum<const K: usize>(
+        d: &DecimatedMoments<K>,
+        cx: usize,
+        cy: usize,
+        n: usize,
+    ) -> Option<[f64; K]> {
+        centered(d, cx, cy, n).map(|win| d.sum(&win))
+    }
 
     fn chan(x: usize, y: usize) -> [f64; 2] {
         let v = ((x * 13 + y * 7) % 11) as f64;
@@ -312,8 +351,7 @@ mod tests {
                         }
                     }
                 }
-                assert_eq!(d.even_window_count(cx, cy, n), count, "({cx},{cy}) n={n}");
-                match d.even_window_sum(cx, cy, n) {
+                match centered_sum(&d, cx, cy, n) {
                     Some(got) => {
                         assert!(count > 0);
                         for k in 0..2 {
@@ -345,7 +383,7 @@ mod tests {
                         let y0 = cy.saturating_sub(n).div_ceil(2);
                         let x1 = (cx + n).min(w - 1) / 2;
                         let y1 = (cy + n).min(h - 1) / 2;
-                        let got = d.even_window_sum(cx, cy, n);
+                        let got = centered_sum(&d, cx, cy, n);
                         if x0 > x1 || y0 > y1 {
                             assert!(got.is_none(), "({cx},{cy}) n={n} of {w}x{h}");
                             continue;
@@ -373,8 +411,8 @@ mod tests {
         d.fill(chan);
         let fresh = DecimatedMoments::<2>::from_fn(11, 9, chan);
         for (cx, cy, n) in [(0usize, 0usize, 2usize), (5, 4, 3), (10, 8, 1), (6, 2, 0)] {
-            let win = d.even_window(cx, cy, n).expect("even samples");
-            assert_eq!(win, fresh.even_window(cx, cy, n).expect("even samples"));
+            let win = centered(&d, cx, cy, n).expect("even samples");
+            assert_eq!(win, centered(&fresh, cx, cy, n).expect("even samples"));
             assert_eq!(d.sum(&win), fresh.sum(&win), "({cx},{cy}) n={n}");
         }
     }
@@ -395,7 +433,7 @@ mod tests {
                         continue;
                     }
                     for cx in 0..w {
-                        if let Some(win) = d.even_window(cx, cy, n) {
+                        if let Some(win) = centered(&d, cx, cy, n) {
                             assert_eq!(
                                 d.sum(&win).map(f64::to_bits),
                                 fresh.sum(&win).map(f64::to_bits),
@@ -409,11 +447,84 @@ mod tests {
     }
 
     #[test]
+    fn even_rect_sums_match_even_lattice_brute_force() {
+        // Rectangles of every parity, clipped ones and empty ones: the
+        // sum is the even-coordinate subset of the clipped rectangle, and
+        // `None` exactly when that subset is empty.
+        let (w, h) = (13usize, 11usize);
+        let d = DecimatedMoments::<2>::from_fn(w, h, chan);
+        for x0 in 0..w + 2 {
+            for x1 in [x0.saturating_sub(1), x0, x0 + 1, x0 + 4, w + 3] {
+                for (y0, y1) in [(0usize, 0usize), (1, 1), (3, 8), (2, 3), (6, 40), (5, 4)] {
+                    let mut want = [0.0f64; 2];
+                    let mut count = 0usize;
+                    for y in (y0..=y1.min(h - 1)).filter(|y| y % 2 == 0) {
+                        for x in (x0..=x1.min(w - 1)).filter(|x| x % 2 == 0) {
+                            let v = chan(x, y);
+                            want[0] += v[0];
+                            want[1] += v[1];
+                            count += 1;
+                        }
+                    }
+                    let tag = format!("[{x0}, {x1}] x [{y0}, {y1}]");
+                    match d.even_rect((x0, y0), (x1, y1)) {
+                        Some(win) => {
+                            assert!(count > 0, "{tag}");
+                            let got = d.sum(&win);
+                            for k in 0..2 {
+                                assert!((got[k] - want[k]).abs() < 1e-9, "{tag} ch {k}");
+                            }
+                        }
+                        None => assert_eq!(count, 0, "{tag}"),
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inv3_spd_reports_the_hadamard_ratio_and_rejects_indefinite() {
+        // Identity: ratio 1. A diagonal scaling leaves the ratio at 1.
+        let (inv, r) = inv3_spd(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).expect("spd");
+        assert_eq!((inv[0], inv[4], inv[8], r), (1.0, 1.0, 1.0, 1.0));
+        let (_, r) = inv3_spd(&[4.0, 0.0, 0.0, 0.0, 1e-6, 0.0, 0.0, 0.0, 9e8]).expect("spd");
+        assert!((r - 1.0).abs() < 1e-12, "{r}");
+        // Near-collinear columns: positive definite, ratio ~ 1 / (1 - rho^2).
+        for eps in [1e-2, 1e-4, 1e-6] {
+            let rho = 1.0 - eps;
+            let m = [1.0, rho, 0.0, rho, 1.0, 0.0, 0.0, 0.0, 1.0];
+            let (inv, r) = inv3_spd(&m).expect("spd");
+            let want = 1.0 / (1.0 - rho * rho);
+            assert!((r / want - 1.0).abs() < 1e-6, "eps {eps}: {r} vs {want}");
+            assert_eq!(inv3(&m), Some(inv));
+        }
+        // Indefinite with a positive diagonal and positive determinant
+        // (eigenvalues 5, -1, -1), a zero diagonal entry, a negative one,
+        // and a singular matrix: all rejected.
+        for m in [
+            [1.0, 2.0, 2.0, 2.0, 1.0, 2.0, 2.0, 2.0, 1.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+            [1.0, 0.0, 0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 1.0],
+            [1.0, 1.0, 0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0],
+        ] {
+            assert!(inv3_spd(&m).is_none(), "{m:?}");
+        }
+    }
+
+    #[test]
+    fn quad_min_is_c_minus_the_quad_form() {
+        let a = [4.0, 1.0, -0.5, 1.0, 3.0, 0.25, -0.5, 0.25, 2.0];
+        let inv = inv3(&a).expect("invertible");
+        let b = [1.0, -2.0, 0.5];
+        assert_eq!(quad_min(7.0, &b, &inv), 7.0 - quad_form(&b, &inv));
+        assert!(quad_form(&b, &inv) > 0.0);
+    }
+
+    #[test]
     fn odd_pixel_zero_window_has_no_even_samples() {
         let d = DecimatedMoments::<1>::from_fn(8, 8, |x, y| [(x + y) as f64]);
-        assert!(d.even_window_sum(3, 3, 0).is_none());
-        assert_eq!(d.even_window_count(3, 3, 0), 0);
-        assert!(d.even_window_sum(4, 4, 0).is_some());
+        assert!(centered_sum(&d, 3, 3, 0).is_none());
+        assert!(centered_sum(&d, 4, 4, 0).is_some());
     }
 
     #[test]

@@ -49,9 +49,10 @@
 //!   (the scalar moment-identity reference);
 //! * [`pruned`] — the production matcher: one seed-first sweep over
 //!   the hypothesis offsets that rejects candidates by an admissible
-//!   coarse decimated-lattice lower bound on the hypothesis error,
-//!   building each offset's plane at most once, into one resident
-//!   buffer, only where a candidate survives; below its cutover it runs
+//!   full-resolution lower bound per 2 x 2 block on the hypothesis
+//!   error, computed before any plane is built, and builds an offset's
+//!   plane, into one resident buffer, only where a candidate survives;
+//!   below its cutover it runs
 //!   a plain raster sweep — bit-identical to [`fastpath`] either way;
 //! * [`simd`] — the pruned driver's kernels, built on the
 //!   [`sma_grid::simd`] 8-wide lane kernels: the 6×6 factorization

@@ -23,7 +23,9 @@
 //!    branch-free, a window sum reads four cells, and a build streams one
 //!    contiguous row of cells per image row. The moment store never
 //!    holds more than one offset — the scalar path allocates one
-//!    `MomentIntegral` per offset per segment.
+//!    `MomentIntegral` per offset per segment. The pruned driver's
+//!    screen sums the same per-pixel products over 2 x 2 bins
+//!    (`fill_binned`) before deciding which planes to build.
 //!
 //! Bit-identity is by construction, kernel by kernel: identical channel
 //! products in identical order, identical per-channel prefix-sum
@@ -34,7 +36,7 @@
 //! The conformance matrix pins the pruned driver's contract against the
 //! scalar integral family at run time.
 
-use sma_grid::prune::inv3_spd;
+use sma_grid::prune::BinnedMoments;
 use sma_grid::{Grid, Vec2};
 use sma_linalg::gauss::Lu6;
 
@@ -47,51 +49,15 @@ use crate::fastpath::{
 use crate::motion::{refined_displacement, surface_delta, track_pixel, MotionEstimate, SmaFrames};
 use crate::template_map::semifluid_correspondence;
 
-/// Per-pixel hypothesis-independent state: static window sums, the LU
-/// factorization of `A^T A` (`None` = singular, which `solve6` would
-/// report for *every* hypothesis of this pixel), and the inverted a- and
-/// b-blocks the pruned driver's tight screen reads. `A^T A` itself (288
+/// Per-pixel hypothesis-independent state: static window sums and the
+/// LU factorization of `A^T A` (`None` = singular, which `solve6` would
+/// report for *every* hypothesis of this pixel). `A^T A` itself (288
 /// bytes) is not kept: [`eval_candidate`] re-expands it from `s` with
-/// `ata_from_static`, as the factorization does.
+/// `ata_from_static`, as the factorization does, and the pruned driver's
+/// screen guard reads `s` too.
 pub(crate) struct PixelSystem {
     pub(crate) s: [f64; STATIC_CHANNELS],
     pub(crate) lu: Option<Lu6>,
-    pub(crate) blocks: Option<BlockInverses>,
-}
-
-/// The two decoupled 3 x 3 blocks of a pixel's `A^T A`, inverted:
-/// `A_a = [[S0, S1, -S2], [S1, S3, -S4], [-S2, -S4, S5]]` (parameters
-/// `a_i, a_j, a_k`) and `A_b = [[S6, S7, -S8], [S7, S9, -S10], [-S8,
-/// -S10, S11]]` (`b_i, b_j, b_k`), each positive definite with a margin
-/// ([`sma_grid::prune::inv3_spd`]), and `kappa`, the larger of their two
-/// Hadamard ratios: the condition estimate the tight screen's guard
-/// scales with.
-pub(crate) struct BlockInverses {
-    pub(crate) inv_a: [f64; 9],
-    pub(crate) inv_b: [f64; 9],
-    pub(crate) kappa: f64,
-}
-
-impl BlockInverses {
-    /// Both blocks of the static sums `s`, when both are positive
-    /// definite with a margin.
-    fn of(s: &[f64; STATIC_CHANNELS]) -> Option<Self> {
-        let (inv_a, kappa_a) = inv3_spd(&[
-            s[0], s[1], -s[2], //
-            s[1], s[3], -s[4], //
-            -s[2], -s[4], s[5],
-        ])?;
-        let (inv_b, kappa_b) = inv3_spd(&[
-            s[6], s[7], -s[8], //
-            s[7], s[9], -s[10], //
-            -s[8], -s[10], s[11],
-        ])?;
-        Some(Self {
-            inv_a,
-            inv_b,
-            kappa: kappa_a.max(kappa_b),
-        })
-    }
 }
 
 /// Per-pixel running search state, carried across the pruned driver's
@@ -210,19 +176,7 @@ impl OffsetPlanes {
                 .zip(stat.factors.row(y))
                 .zip(gx_row.iter().zip(gy_row.iter()))
             {
-                let [zx_e2, zy_e2, ie2, zx_g2, zy_g2, ig2] = *f;
-                let t2 = ie2 * gx;
-                let t5 = ig2 * gy;
-                let v = [
-                    zx_e2 * gx,
-                    zy_e2 * gx,
-                    t2,
-                    zx_g2 * gy,
-                    zy_g2 * gy,
-                    t5,
-                    t2 * gx,
-                    t5 * gy,
-                ];
+                let v = offset_products(f, gx, gy);
                 for k in 0..OFFSET_CHANNELS {
                     row_sum[k] += v[k];
                     cell.0[k] = row_sum[k] + up.0[k];
@@ -254,12 +208,11 @@ impl OffsetPlanes {
     }
 }
 
-/// Per-pixel static phase of the pruned driver: the
-/// static window sums, the LU factorization of `A^T A` (counted on
-/// `factorizations`) and, where it factors, the inverted blocks, plus
-/// the pixel's initial search state. Non-finite static sums re-route the
-/// pixel through the exact kernel at once and mark it done — the scalar
-/// path takes the same route at its first evaluation.
+/// Per-pixel static phase of the pruned driver: the static window sums
+/// and the LU factorization of `A^T A` (counted on `factorizations`),
+/// plus the pixel's initial search state. Non-finite static sums
+/// re-route the pixel through the exact kernel at once and mark it done
+/// — the scalar path takes the same route at its first evaluation.
 pub(crate) fn prefactor(
     frames: &SmaFrames,
     cfg: &SmaConfig,
@@ -271,11 +224,7 @@ pub(crate) fn prefactor(
     if !s.iter().all(|v| v.is_finite()) {
         sma_fault::note_natural_degradation();
         return (
-            PixelSystem {
-                s,
-                lu: None,
-                blocks: None,
-            },
+            PixelSystem { s, lu: None },
             EvalState {
                 best: track_pixel(frames, cfg, x, y),
                 second: f64::NEG_INFINITY,
@@ -285,9 +234,8 @@ pub(crate) fn prefactor(
     }
     factorizations.incr();
     let lu = Lu6::factor(&ata_from_static(&s)).ok();
-    let blocks = lu.as_ref().and_then(|_| BlockInverses::of(&s));
     (
-        PixelSystem { s, lu, blocks },
+        PixelSystem { s, lu },
         EvalState {
             best: MotionEstimate::invalid(),
             second: f64::INFINITY,
@@ -362,6 +310,60 @@ pub(crate) fn eval_candidate(
         st.second = error;
     }
     true
+}
+
+/// The eight offset-channel products of one pixel (`T0..T7`, see
+/// [`crate::fastpath::offset_moments`]) from its raw static factors and
+/// its mapped gradient `(gx, gy)`: the one formula every offset table
+/// sums, so a binned table and an offset plane sum the same floats.
+#[inline]
+fn offset_products(f: &[f64; 6], gx: f64, gy: f64) -> [f64; OFFSET_CHANNELS] {
+    let [zx_e2, zy_e2, ie2, zx_g2, zy_g2, ig2] = *f;
+    let t2 = ie2 * gx;
+    let t5 = ig2 * gy;
+    [
+        zx_e2 * gx,
+        zy_e2 * gx,
+        t2,
+        zx_g2 * gy,
+        zy_g2 * gy,
+        t5,
+        t2 * gx,
+        t5 * gy,
+    ]
+}
+
+/// Refill `binned` with the continuous-model offset channels of
+/// hypothesis offset `(ox, oy)` down to bin row `bin_rows`: the same
+/// per-pixel products [`OffsetPlanes::build`] forms, from the same
+/// clamped row shifts of the gradient planes (`gather` holds the two
+/// shifted rows), summed per 2 x 2 bin.
+pub(crate) fn fill_binned(
+    binned: &mut BinnedMoments<OFFSET_CHANNELS>,
+    stat: &StaticMoments,
+    (gx_plane, gy_plane): (&Grid<f64>, &Grid<f64>),
+    (ox, oy): (isize, isize),
+    bin_rows: usize,
+    gather: &mut [Vec<f64>; 2],
+) {
+    let h = gx_plane.height();
+    let [gx_row, gy_row] = gather;
+    binned.fill_rows(bin_rows, |y, out| {
+        let n = out.len();
+        gx_row.resize(n, 0.0);
+        gy_row.resize(n, 0.0);
+        let sy = (y as isize + oy).clamp(0, h as isize - 1) as usize;
+        shift_row(gx_plane.row(sy), ox, gx_row);
+        shift_row(gy_plane.row(sy), ox, gy_row);
+        for (((o, f), &gx), &gy) in out
+            .iter_mut()
+            .zip(stat.factors.row(y))
+            .zip(gx_row.iter())
+            .zip(gy_row.iter())
+        {
+            *o = offset_products(f, gx, gy);
+        }
+    });
 }
 
 /// The observed after-motion gradient planes `(-n_i/n_k, -n_j/n_k)`,

@@ -15,8 +15,8 @@
 //!   central-difference gradients;
 //! * [`integral`] — multi-channel summed-area tables for O(1) window
 //!   sums (the SMA fast path's moment planes);
-//! * [`prune`] — decimated-lattice summed-area tables and 3 x 3
-//!   quadratic-minimum kernels backing the pruned-search drivers'
+//! * [`prune`] — summed-area tables over 2 x 2 pixel bins and 3 x 3
+//!   quadratic-minimum kernels backing the pruned-search driver's
 //!   admissible candidate bounds;
 //! * [`pyramid`] — the multi-resolution image pyramid used by the ASA
 //!   stereo substrate's coarse-to-fine search;

@@ -1,25 +1,24 @@
 //! Bound kernels for the pruned-search fast path.
 //!
-//! The pruned driver family (`sma_core::pruned`) rejects hypothesis
-//! offsets *before* building their full moment planes by comparing an
+//! The pruned driver (`sma_core::pruned`) rejects hypothesis offsets
+//! *before* building their full moment planes by comparing an
 //! **admissible lower bound** on each candidate's minimized error
 //! against the running best. The bound machinery lives here, beside the
 //! summed-area tables it is built from:
 //!
-//! * [`DecimatedMoments`] — a summed-area table over the **stride-2
-//!   even lattice** of a channel plane. A window sum over the even
-//!   sub-lattice of a template window is a *subset* of the full window
-//!   sum, and a sum of squared residuals over a subset of samples can
-//!   never exceed the sum over all of them — which is exactly why the
-//!   decimated lattice (and not a blurred pyramid level, whose samples
-//!   are *mixtures*) yields an admissible bound.
-//! * [`inv3`] / [`quad_min`] — the closed-form minimum of a 3-variable
-//!   least-squares quadratic `theta^T A theta - 2 theta^T b + c`,
-//!   namely `c - b^T A^-1 b`, clamped at zero. The SMA normal equations
-//!   decouple into two such 3 x 3 blocks, so one of these evaluations
-//!   on decimated sums bounds a candidate's full 6-parameter minimum
-//!   from below, and two on full sums ([`inv3_spd`], [`quad_form`])
-//!   give that minimum in closed form.
+//! * [`BinnedMoments`] — a summed-area table over **2 x 2 pixel bins**
+//!   of a channel plane. A window over whole bins sums every pixel of a
+//!   bin-aligned rectangle, so it is the full-resolution sum over a
+//!   *subset* of a larger template window. A sum of squared residuals
+//!   over a subset of samples can never exceed the sum over all of them,
+//!   which is why summed samples (and not a blurred pyramid level, whose
+//!   samples are *mixtures*) yield an admissible bound.
+//! * [`inv3_spd`] / [`quad_form`] — the inverse of a positive definite
+//!   3 x 3 block with its conditioning, and the quadratic form
+//!   `b^T A^-1 b`: the minimum of `theta^T A theta - 2 theta^T b + c` is
+//!   `c - b^T A^-1 b`. The SMA normal equations decouple into two such
+//!   3 x 3 blocks, so two of these give a window's minimized error in
+//!   closed form.
 //!
 //! The runtime toggle (`SMA_PRUNE=off`, or [`set_enabled`]) disarms the
 //! screen; the pruned driver then runs a plain raster sweep over every
@@ -73,136 +72,131 @@ pub fn set_enabled(on: bool) {
     STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
 }
 
-/// A summed-area table over the stride-2 even lattice of a `K`-channel
-/// plane: coarse cell `(cx, cy)` holds the channel values of fine pixel
-/// `(2 cx, 2 cy)`, so any rectangle sum over the coarse table is the sum
-/// over the even-coordinate subset of the corresponding fine rectangle
-/// — at a quarter of the build cost of the full-resolution table.
+/// A summed-area table over **2 x 2 pixel bins** of a `K`-channel
+/// plane: bin `(bx, by)` holds the sum of the channel values of pixels
+/// `(2 bx .. 2 bx + 1, 2 by .. 2 by + 1)`, formed as
+/// `(v(2bx, 2by) + v(2bx+1, 2by)) + (v(2bx, 2by+1) + v(2bx+1, 2by+1))`,
+/// so a window sum over whole bins is the sum over every pixel of the
+/// corresponding bin-aligned pixel rectangle — full resolution, at a
+/// quarter of the prefix-sum cost of a per-pixel table. The channels are
+/// summed samples, not a blurred signal: a bin-aligned window holds
+/// exactly the samples a per-pixel table would sum over it.
 ///
-/// The table is **zero-padded** — `(cw + 1) x (ch + 1)` cells with a
-/// permanent zero row 0 and column 0 — so a window sum is four
-/// branch-free lookups at indices that [`DecimatedMoments::even_rect`]
-/// computes once per window, and [`DecimatedMoments::fill`] refills the
-/// same buffer (the pruned driver keeps one table per row band and
-/// refills it per hypothesis offset, down to the band's last window row
-/// with [`DecimatedMoments::fill_rows`]). The pad supplies the literal
-/// `0.0` a clipped [`crate::MomentIntegral::rect_sum`] substitutes, and
-/// each cell accumulates in [`crate::MomentIntegral::from_fn`]'s order,
-/// so every sum is bit-identical to the unpadded table's.
+/// The table covers the `w / 2 x h / 2` whole bins (an odd last pixel
+/// column or row is never binned) and is **zero-padded** — a permanent
+/// zero row 0 and column 0 — so a window sum is four branch-free lookups
+/// at the indices a [`BinWindow`] computes once per window.
+/// [`BinnedMoments::fill_rows`] refills the same buffer down to a bin
+/// row (the pruned driver refills one table per hypothesis offset, down
+/// to the last row its windows read).
 #[derive(Debug, Clone)]
-pub struct DecimatedMoments<const K: usize> {
-    cells: Vec<[f64; K]>,
-    cw: usize,
-    ch: usize,
-    fine_w: usize,
-    fine_h: usize,
+pub struct BinnedMoments<const K: usize> {
+    cells: Vec<Bin<K>>,
+    bw: usize,
+    bh: usize,
+    /// The two pixel rows of the bin row being filled, `2 bw` wide.
+    rows: [Vec<[f64; K]>; 2],
 }
 
-/// The four padded-table corner indices of one even-lattice window,
+/// One padded table cell, aligned to a 64-byte cache line so an
+/// eight-channel corner lookup touches exactly one line.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct Bin<const K: usize>([f64; K]);
+
+/// The four padded-table corner indices of one bin-aligned window,
 /// hoisted out of per-offset loops: the window's position depends only
-/// on the pixel and the template radius, never on what the table holds.
+/// on its bins and the table's size, never on what the table holds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EvenWindow {
+pub struct BinWindow {
     top_left: usize,
     top_right: usize,
     bottom_left: usize,
     bottom_right: usize,
 }
 
-impl<const K: usize> DecimatedMoments<K> {
-    /// An all-zero table for a `w x h` fine plane, ready to
-    /// [`fill`](Self::fill).
+impl BinWindow {
+    /// The window over bins `bx0 ..= bx1` by `by0 ..= by1` — pixels
+    /// `2 bx0 ..= 2 bx1 + 1` by `2 by0 ..= 2 by1 + 1` — of the table
+    /// [`BinnedMoments::new`] makes for a `w x h` plane. `None` for an
+    /// empty window or one that reaches past the table's whole bins.
+    pub fn new(
+        (w, h): (usize, usize),
+        (bx0, by0): (usize, usize),
+        (bx1, by1): (usize, usize),
+    ) -> Option<Self> {
+        let (bw, bh) = (w / 2, h / 2);
+        if bx0 > bx1 || by0 > by1 || bx1 >= bw || by1 >= bh {
+            return None;
+        }
+        // Padded column c + 1 holds bin column c; column 0 is the pad.
+        let bw1 = bw + 1;
+        Some(Self {
+            top_left: by0 * bw1 + bx0,
+            top_right: by0 * bw1 + bx1 + 1,
+            bottom_left: (by1 + 1) * bw1 + bx0,
+            bottom_right: (by1 + 1) * bw1 + bx1 + 1,
+        })
+    }
+}
+
+impl<const K: usize> BinnedMoments<K> {
+    /// An all-zero table for a `w x h` pixel plane, ready to
+    /// [`fill_rows`](Self::fill_rows).
     pub fn new(w: usize, h: usize) -> Self {
-        let cw = w.div_ceil(2).max(1);
-        let ch = h.div_ceil(2).max(1);
+        let (bw, bh) = (w / 2, h / 2);
         Self {
-            cells: vec![[0.0f64; K]; (cw + 1) * (ch + 1)],
-            cw,
-            ch,
-            fine_w: w,
-            fine_h: h,
+            cells: vec![Bin([0.0f64; K]); (bw + 1) * (bh + 1)],
+            bw,
+            bh,
+            rows: [vec![[0.0f64; K]; 2 * bw], vec![[0.0f64; K]; 2 * bw]],
         }
     }
 
-    /// Build from a per-fine-pixel channel function, sampled on the
-    /// even lattice of a `w x h` plane in one pass.
-    pub fn from_fn(w: usize, h: usize, f: impl FnMut(usize, usize) -> [f64; K]) -> Self {
-        let mut d = Self::new(w, h);
-        d.fill(f);
-        d
+    /// The `(bw, bh)` whole bins the table covers.
+    pub fn bins(&self) -> (usize, usize) {
+        (self.bw, self.bh)
     }
 
-    /// Refill every cell from `f`, sampled at the even fine pixels
-    /// `(2 cx, 2 cy)` in raster order; only the zero pad persists.
-    pub fn fill(&mut self, f: impl FnMut(usize, usize) -> [f64; K]) {
-        self.fill_rows(self.fine_h, f);
-    }
-
-    /// Refill only the cells that windows over the top `fine_rows` rows
-    /// of the fine plane read: the coarse rows holding even fine rows
-    /// below `fine_rows`. A cell depends only on the samples above and
-    /// left of it, so those cells equal a full [`fill`](Self::fill)'s
-    /// bit for bit; the rows below keep stale values that such windows
-    /// never read.
-    pub fn fill_rows(&mut self, fine_rows: usize, mut f: impl FnMut(usize, usize) -> [f64; K]) {
-        let cw1 = self.cw + 1;
-        for cy in 0..fine_rows.div_ceil(2).min(self.ch) {
-            let (done, rest) = self.cells.split_at_mut((cy + 1) * cw1);
-            let above = &done[cy * cw1 + 1..];
+    /// Refill the top `bin_rows` bin rows (all of them from `h / 2` up).
+    /// `row(y, out)` writes the channel values of pixels `0 .. out.len()`
+    /// of pixel row `y` (`out` is `2 (w / 2)` long); it is called for
+    /// pixel rows `2 by` and `2 by + 1` of every bin row `by` in turn. A
+    /// cell depends only on the bins above and left of it, so those rows
+    /// equal a full fill's bit for bit; the rows below keep stale values
+    /// that windows above them never read.
+    pub fn fill_rows(&mut self, bin_rows: usize, mut row: impl FnMut(usize, &mut [[f64; K]])) {
+        let bw1 = self.bw + 1;
+        let [r0, r1] = &mut self.rows;
+        for by in 0..bin_rows.min(self.bh) {
+            row(2 * by, r0.as_mut_slice());
+            row(2 * by + 1, r1.as_mut_slice());
+            let (done, rest) = self.cells.split_at_mut((by + 1) * bw1);
+            let above = &done[by * bw1 + 1..];
             let mut row_sum = [0.0f64; K];
-            for (cx, (cell, up)) in rest[1..cw1].iter_mut().zip(above).enumerate() {
-                let v = f(2 * cx, 2 * cy);
+            for (((cell, up), top), bottom) in rest[1..bw1]
+                .iter_mut()
+                .zip(above)
+                .zip(r0.chunks_exact(2))
+                .zip(r1.chunks_exact(2))
+            {
                 for k in 0..K {
-                    row_sum[k] += v[k];
-                    cell[k] = row_sum[k] + up[k];
+                    row_sum[k] += (top[0][k] + top[1][k]) + (bottom[0][k] + bottom[1][k]);
+                    cell.0[k] = row_sum[k] + up.0[k];
                 }
             }
         }
     }
 
-    /// Dimensions of the fine plane the lattice was sampled from.
-    pub fn fine_dims(&self) -> (usize, usize) {
-        (self.fine_w, self.fine_h)
-    }
-
-    /// Corner indices of the even-coordinate subset of the fine
-    /// rectangle with inclusive corners `(x0, y0)` and `(x1, y1)`, clipped
-    /// to the plane. `None` when the rectangle contains no even lattice
-    /// point (an empty rectangle, or one a single odd column or row wide).
-    pub fn even_rect(
-        &self,
-        (x0, y0): (usize, usize),
-        (x1, y1): (usize, usize),
-    ) -> Option<EvenWindow> {
-        let x1 = x1.min(self.fine_w.saturating_sub(1));
-        let y1 = y1.min(self.fine_h.saturating_sub(1));
-        // Even x in [x0, x1]  <=>  coarse cx in [ceil(x0/2), floor(x1/2)];
-        // padded column c + 1 holds coarse column c, column 0 is the pad.
-        let cx0 = x0.div_ceil(2);
-        let cy0 = y0.div_ceil(2);
-        let cx1 = x1 / 2;
-        let cy1 = y1 / 2;
-        if cx0 > cx1 || cy0 > cy1 {
-            return None;
-        }
-        let cw1 = self.cw + 1;
-        Some(EvenWindow {
-            top_left: cy0 * cw1 + cx0,
-            top_right: cy0 * cw1 + cx1 + 1,
-            bottom_left: (cy1 + 1) * cw1 + cx0,
-            bottom_right: (cy1 + 1) * cw1 + cx1 + 1,
-        })
-    }
-
-    /// Per-channel sum over a window from [`even_rect`](Self::even_rect)
-    /// of a table with the same dimensions, with `rect_sum`'s
-    /// `((a - b) - c) + d` corner grouping.
+    /// Per-channel sum over a [`BinWindow`] made for this table's pixel
+    /// dimensions, with the `((a - b) - c) + d` corner grouping of every
+    /// summed-area table in the workspace.
     #[inline]
-    pub fn sum(&self, win: &EvenWindow) -> [f64; K] {
-        let a = &self.cells[win.bottom_right];
-        let b = &self.cells[win.bottom_left];
-        let c = &self.cells[win.top_right];
-        let d = &self.cells[win.top_left];
+    pub fn sum(&self, win: &BinWindow) -> [f64; K] {
+        let a = &self.cells[win.bottom_right].0;
+        let b = &self.cells[win.bottom_left].0;
+        let c = &self.cells[win.top_right].0;
+        let d = &self.cells[win.top_left].0;
         let mut out = [0.0f64; K];
         for k in 0..K {
             out[k] = ((a[k] - b[k]) - c[k]) + d[k];
@@ -216,22 +210,17 @@ impl<const K: usize> DecimatedMoments<K> {
 /// to zero, which never rejects anything).
 pub const DET_RTOL: f64 = 1e-12;
 
-/// Invert a symmetric 3 x 3 matrix (row-major) by the adjugate, or
-/// `None` when the determinant is non-finite or small relative to the
-/// matrix scale. The caller treats `None` as "no usable bound".
-pub fn inv3(m: &[f64; 9]) -> Option<[f64; 9]> {
-    inv3_det(m).map(|(inv, _)| inv)
-}
-
-/// [`inv3`] of a symmetric matrix that is positive definite with a
+/// The inverse of a symmetric 3 x 3 matrix (row-major, by the adjugate)
+/// that is positive definite with a
 /// margin, with its *Hadamard ratio* `m00 m11 m22 / det`: the reciprocal
 /// determinant of the unit-diagonal scaling `D^-1/2 M D^-1/2`, which is
 /// at least 1 and bounds that scaling's smallest eigenvalue from below
 /// by `1 / (2.25 ratio)` (its eigenvalues sum to 3). `None` unless every
 /// diagonal entry is positive, every off-diagonal entry is smaller in
 /// magnitude than the geometric mean of its two diagonal entries (the
-/// scaling's off-diagonal entries lie in `(-1, 1)`), and [`inv3`]
-/// succeeds with a positive determinant.
+/// scaling's off-diagonal entries lie in `(-1, 1)`), and the
+/// determinant is positive, finite and not small relative to the matrix
+/// scale ([`DET_RTOL`]).
 pub fn inv3_spd(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
     let (d0, d1, d2) = (m[0], m[4], m[8]);
     let diagonal = d0 > 0.0 && d1 > 0.0 && d2 > 0.0;
@@ -243,7 +232,9 @@ pub fn inv3_spd(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
     (det > 0.0).then(|| (inv, d0 * d1 * d2 / det))
 }
 
-/// [`inv3`] and the determinant it divided by.
+/// The adjugate inverse of a 3 x 3 matrix and the determinant it divided
+/// by, or `None` when the determinant is non-finite or small relative to
+/// the matrix scale.
 fn inv3_det(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
     let c00 = m[4] * m[8] - m[5] * m[7];
     let c01 = m[5] * m[6] - m[3] * m[8];
@@ -272,22 +263,6 @@ fn inv3_det(m: &[f64; 9]) -> Option<([f64; 9], f64)> {
     inv.iter().all(|v| v.is_finite()).then_some((inv, det))
 }
 
-/// The minimum of the least-squares quadratic
-/// `theta^T A theta - 2 theta^T b + c` over `theta`, given `A^-1`:
-/// `c - b^T A^-1 b`, clamped at zero (the quadratic is a sum of squared
-/// residuals, so its true minimum is non-negative). Non-finite
-/// intermediates collapse to `0.0` — a vacuous bound that rejects
-/// nothing, never an unsound one.
-#[inline]
-pub fn quad_min(c: f64, b: &[f64; 3], inv: &[f64; 9]) -> f64 {
-    let m = c - quad_form(b, inv);
-    if m.is_finite() {
-        m.max(0.0)
-    } else {
-        0.0
-    }
-}
-
 /// The quadratic form `b^T A^-1 b`, given `A^-1`: the amount the
 /// minimum of `theta^T A theta - 2 theta^T b + c` lies below `c`.
 #[inline]
@@ -301,105 +276,87 @@ pub fn quad_form(b: &[f64; 3], inv: &[f64; 9]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::integral::MomentIntegral;
-
-    /// The even window of the `(2 n + 1)^2` template centered at
-    /// `(cx, cy)`, clipped to the plane.
-    fn centered<const K: usize>(
-        d: &DecimatedMoments<K>,
-        cx: usize,
-        cy: usize,
-        n: usize,
-    ) -> Option<EvenWindow> {
-        d.even_rect(
-            (cx.saturating_sub(n), cy.saturating_sub(n)),
-            (cx + n, cy + n),
-        )
-    }
-
-    fn centered_sum<const K: usize>(
-        d: &DecimatedMoments<K>,
-        cx: usize,
-        cy: usize,
-        n: usize,
-    ) -> Option<[f64; K]> {
-        centered(d, cx, cy, n).map(|win| d.sum(&win))
-    }
 
     fn chan(x: usize, y: usize) -> [f64; 2] {
         let v = ((x * 13 + y * 7) % 11) as f64;
         [v * 0.5 - 2.0, (x as f64 - y as f64) * 0.25]
     }
 
+    /// Fills `out` with pixel row `y` of `f`.
+    fn rows_of(f: impl Fn(usize, usize) -> [f64; 2]) -> impl FnMut(usize, &mut [[f64; 2]]) {
+        move |y, out| {
+            for (x, o) in out.iter_mut().enumerate() {
+                *o = f(x, y);
+            }
+        }
+    }
+
+    fn binned(w: usize, h: usize, f: impl Fn(usize, usize) -> [f64; 2]) -> BinnedMoments<2> {
+        let mut d = BinnedMoments::new(w, h);
+        d.fill_rows(h / 2, rows_of(f));
+        d
+    }
+
     #[test]
-    fn decimated_sums_match_even_lattice_brute_force() {
-        for (w, h) in [(9usize, 7usize), (16, 16), (33, 5), (1, 1)] {
-            let d = DecimatedMoments::<2>::from_fn(w, h, chan);
-            for &(cx, cy, n) in &[(4usize, 3usize, 2usize), (0, 0, 3), (8, 6, 1), (2, 2, 0)] {
-                if cx >= w || cy >= h {
-                    continue;
-                }
-                let mut want = [0.0f64; 2];
-                let mut count = 0usize;
-                for y in cy.saturating_sub(n)..=(cy + n).min(h - 1) {
-                    for x in cx.saturating_sub(n)..=(cx + n).min(w - 1) {
-                        if x % 2 == 0 && y % 2 == 0 {
-                            let v = chan(x, y);
-                            want[0] += v[0];
-                            want[1] += v[1];
-                            count += 1;
+    fn binned_window_sums_match_brute_force() {
+        // Every bin-aligned window of even and odd frame sizes: the sum
+        // over every pixel of the window's rectangle, and `None` exactly
+        // for empty windows and ones past the whole bins.
+        for (w, h) in [
+            (9usize, 7usize),
+            (16, 16),
+            (17, 11),
+            (33, 5),
+            (1, 1),
+            (2, 3),
+        ] {
+            let d = binned(w, h, chan);
+            assert_eq!(d.bins(), (w / 2, h / 2));
+            for bx0 in 0..=w / 2 {
+                for bx1 in bx0.saturating_sub(1)..=w / 2 {
+                    for (by0, by1) in [(0usize, 0usize), (1, 2), (0, h / 2), (2, 1), (h / 2, h / 2)]
+                    {
+                        let tag = format!("{w}x{h} bins [{bx0}, {bx1}] x [{by0}, {by1}]");
+                        let inside = bx0 <= bx1 && by0 <= by1 && bx1 < w / 2 && by1 < h / 2;
+                        let Some(win) = BinWindow::new((w, h), (bx0, by0), (bx1, by1)) else {
+                            assert!(!inside, "{tag}");
+                            continue;
+                        };
+                        assert!(inside, "{tag}");
+                        let mut want = [0.0f64; 2];
+                        for y in 2 * by0..=2 * by1 + 1 {
+                            for x in 2 * bx0..=2 * bx1 + 1 {
+                                let v = chan(x, y);
+                                want[0] += v[0];
+                                want[1] += v[1];
+                            }
                         }
-                    }
-                }
-                match centered_sum(&d, cx, cy, n) {
-                    Some(got) => {
-                        assert!(count > 0);
+                        let got = d.sum(&win);
                         for k in 0..2 {
-                            assert!(
-                                (got[k] - want[k]).abs() < 1e-9,
-                                "({cx},{cy}) n={n} ch {k}: {got:?} vs {want:?}"
-                            );
+                            assert!((got[k] - want[k]).abs() < 1e-9, "{tag} ch {k}: {got:?}");
                         }
                     }
-                    None => assert_eq!(count, 0, "({cx},{cy}) n={n}"),
                 }
             }
         }
     }
 
     #[test]
-    fn padded_sums_are_bit_identical_to_the_unpadded_integral() {
-        // The zero pad must reproduce `MomentIntegral::rect_sum` over the
-        // coarse lattice to the bit, clipped windows included.
-        for (w, h) in [(9usize, 7usize), (16, 16), (17, 11), (33, 5), (1, 1)] {
-            let d = DecimatedMoments::<2>::from_fn(w, h, chan);
-            let r = MomentIntegral::<2>::from_fn(w.div_ceil(2), h.div_ceil(2), |cx, cy| {
-                chan(2 * cx, 2 * cy)
+    fn a_bin_pairs_within_each_row_first() {
+        // The one bin of a 2 x 2 plane (and of a 3 x 3 one, whose odd
+        // last row and column are never binned) is the documented sum,
+        // bit for bit.
+        for side in [2usize, 3] {
+            let d = binned(side, side, chan);
+            let win = BinWindow::new((side, side), (0, 0), (0, 0)).expect("bin");
+            let want: [f64; 2] = std::array::from_fn(|k| {
+                (chan(0, 0)[k] + chan(1, 0)[k]) + (chan(0, 1)[k] + chan(1, 1)[k])
             });
-            for n in 0..4usize {
-                for cy in 0..h {
-                    for cx in 0..w {
-                        let x0 = cx.saturating_sub(n).div_ceil(2);
-                        let y0 = cy.saturating_sub(n).div_ceil(2);
-                        let x1 = (cx + n).min(w - 1) / 2;
-                        let y1 = (cy + n).min(h - 1) / 2;
-                        let got = centered_sum(&d, cx, cy, n);
-                        if x0 > x1 || y0 > y1 {
-                            assert!(got.is_none(), "({cx},{cy}) n={n} of {w}x{h}");
-                            continue;
-                        }
-                        let want = r.rect_sum(x0, y0, x1, y1);
-                        let got = got.expect("window has even samples");
-                        for k in 0..2 {
-                            assert_eq!(
-                                got[k].to_bits(),
-                                want[k].to_bits(),
-                                "({cx},{cy}) n={n} ch {k} of {w}x{h}"
-                            );
-                        }
-                    }
-                }
-            }
+            assert_eq!(
+                d.sum(&win).map(f64::to_bits),
+                want.map(f64::to_bits),
+                "{side}"
+            );
         }
     }
 
@@ -407,39 +364,20 @@ mod tests {
     fn refill_replaces_every_cell() {
         // A refilled table must equal a fresh build: nothing but the pad
         // survives from the previous contents.
-        let mut d = DecimatedMoments::<2>::from_fn(11, 9, |x, y| [x as f64, -(y as f64)]);
-        d.fill(chan);
-        let fresh = DecimatedMoments::<2>::from_fn(11, 9, chan);
-        for (cx, cy, n) in [(0usize, 0usize, 2usize), (5, 4, 3), (10, 8, 1), (6, 2, 0)] {
-            let win = centered(&d, cx, cy, n).expect("even samples");
-            assert_eq!(win, centered(&fresh, cx, cy, n).expect("even samples"));
-            assert_eq!(d.sum(&win), fresh.sum(&win), "({cx},{cy}) n={n}");
-        }
-    }
-
-    #[test]
-    fn row_limited_fill_matches_a_full_fill_above_its_extent() {
-        // Windows whose fine rows end above `fine_rows` must read the
-        // same bits from a partial refill (over stale contents) as from a
-        // full build.
-        let (w, h) = (13usize, 15usize);
-        let fresh = DecimatedMoments::<2>::from_fn(w, h, chan);
-        for fine_rows in [1usize, 2, 5, 8, 15] {
-            let mut d = DecimatedMoments::<2>::from_fn(w, h, |x, y| [y as f64, x as f64 * 3.0]);
-            d.fill_rows(fine_rows, chan);
-            for n in 0..4usize {
-                for cy in 0..h {
-                    if (cy + n).min(h - 1) >= fine_rows {
-                        continue;
-                    }
-                    for cx in 0..w {
-                        if let Some(win) = centered(&d, cx, cy, n) {
-                            assert_eq!(
-                                d.sum(&win).map(f64::to_bits),
-                                fresh.sum(&win).map(f64::to_bits),
-                                "rows {fine_rows} ({cx},{cy}) n={n}"
-                            );
-                        }
+        let (w, h) = (11usize, 9usize);
+        let mut d = binned(w, h, |x, y| [x as f64, -(y as f64)]);
+        d.fill_rows(h / 2, rows_of(chan));
+        let fresh = binned(w, h, chan);
+        for by0 in 0..h / 2 {
+            for by1 in by0..h / 2 {
+                for bx0 in 0..w / 2 {
+                    for bx1 in bx0..w / 2 {
+                        let win = BinWindow::new((w, h), (bx0, by0), (bx1, by1)).expect("window");
+                        assert_eq!(
+                            d.sum(&win).map(f64::to_bits),
+                            fresh.sum(&win).map(f64::to_bits),
+                            "[{bx0}, {bx1}] x [{by0}, {by1}]"
+                        );
                     }
                 }
             }
@@ -447,35 +385,33 @@ mod tests {
     }
 
     #[test]
-    fn even_rect_sums_match_even_lattice_brute_force() {
-        // Rectangles of every parity, clipped ones and empty ones: the
-        // sum is the even-coordinate subset of the clipped rectangle, and
-        // `None` exactly when that subset is empty.
-        let (w, h) = (13usize, 11usize);
-        let d = DecimatedMoments::<2>::from_fn(w, h, chan);
-        for x0 in 0..w + 2 {
-            for x1 in [x0.saturating_sub(1), x0, x0 + 1, x0 + 4, w + 3] {
-                for (y0, y1) in [(0usize, 0usize), (1, 1), (3, 8), (2, 3), (6, 40), (5, 4)] {
-                    let mut want = [0.0f64; 2];
-                    let mut count = 0usize;
-                    for y in (y0..=y1.min(h - 1)).filter(|y| y % 2 == 0) {
-                        for x in (x0..=x1.min(w - 1)).filter(|x| x % 2 == 0) {
-                            let v = chan(x, y);
-                            want[0] += v[0];
-                            want[1] += v[1];
-                            count += 1;
-                        }
-                    }
-                    let tag = format!("[{x0}, {x1}] x [{y0}, {y1}]");
-                    match d.even_rect((x0, y0), (x1, y1)) {
-                        Some(win) => {
-                            assert!(count > 0, "{tag}");
-                            let got = d.sum(&win);
-                            for k in 0..2 {
-                                assert!((got[k] - want[k]).abs() < 1e-9, "{tag} ch {k}");
-                            }
-                        }
-                        None => assert_eq!(count, 0, "{tag}"),
+    fn row_limited_fill_matches_a_full_fill_above_its_extent() {
+        // Windows whose bins end above `bin_rows` must read the same bits
+        // from a partial refill (over stale contents) as from a full
+        // build, and the partial fill must not read pixel rows below it.
+        let (w, h) = (13usize, 15usize);
+        let fresh = binned(w, h, chan);
+        for bin_rows in [0usize, 1, 2, 5, 7, 9] {
+            let mut d = binned(w, h, |x, y| [y as f64, x as f64 * 3.0]);
+            let mut deepest = None;
+            d.fill_rows(bin_rows, |y, out| {
+                deepest = deepest.max(Some(y));
+                rows_of(chan)(y, out);
+            });
+            assert_eq!(
+                deepest,
+                (bin_rows.min(h / 2) * 2).checked_sub(1),
+                "rows {bin_rows}"
+            );
+            for by1 in 0..bin_rows.min(h / 2) {
+                for by0 in 0..=by1 {
+                    for (bx0, bx1) in [(0usize, 0usize), (0, w / 2 - 1), (2, 4), (5, 5)] {
+                        let win = BinWindow::new((w, h), (bx0, by0), (bx1, by1)).expect("window");
+                        assert_eq!(
+                            d.sum(&win).map(f64::to_bits),
+                            fresh.sum(&win).map(f64::to_bits),
+                            "rows {bin_rows} [{bx0}, {bx1}] x [{by0}, {by1}]"
+                        );
                     }
                 }
             }
@@ -496,7 +432,7 @@ mod tests {
             let (inv, r) = inv3_spd(&m).expect("spd");
             let want = 1.0 / (1.0 - rho * rho);
             assert!((r / want - 1.0).abs() < 1e-6, "eps {eps}: {r} vs {want}");
-            assert_eq!(inv3(&m), Some(inv));
+            assert_eq!(inv3_det(&m).map(|(inv, _)| inv), Some(inv));
         }
         // Indefinite with a positive diagonal and positive determinant
         // (eigenvalues 5, -1, -1), a zero diagonal entry, a negative one,
@@ -512,57 +448,13 @@ mod tests {
     }
 
     #[test]
-    fn quad_min_is_c_minus_the_quad_form() {
-        let a = [4.0, 1.0, -0.5, 1.0, 3.0, 0.25, -0.5, 0.25, 2.0];
-        let inv = inv3(&a).expect("invertible");
-        let b = [1.0, -2.0, 0.5];
-        assert_eq!(quad_min(7.0, &b, &inv), 7.0 - quad_form(&b, &inv));
-        assert!(quad_form(&b, &inv) > 0.0);
-    }
-
-    #[test]
-    fn odd_pixel_zero_window_has_no_even_samples() {
-        let d = DecimatedMoments::<1>::from_fn(8, 8, |x, y| [(x + y) as f64]);
-        assert!(centered_sum(&d, 3, 3, 0).is_none());
-        assert!(centered_sum(&d, 4, 4, 0).is_some());
-    }
-
-    #[test]
-    fn inv3_inverts_well_conditioned_matrices() {
-        let m = [4.0, 1.0, -0.5, 1.0, 3.0, 0.25, -0.5, 0.25, 2.0];
-        let inv = inv3(&m).expect("invertible");
-        for i in 0..3 {
-            for j in 0..3 {
-                let mut s = 0.0;
-                for k in 0..3 {
-                    s += m[i * 3 + k] * inv[k * 3 + j];
-                }
-                let want = if i == j { 1.0 } else { 0.0 };
-                assert!((s - want).abs() < 1e-12, "({i},{j}): {s}");
-            }
-        }
-    }
-
-    #[test]
-    fn inv3_rejects_singular_and_non_finite() {
-        // Rank-2: third row is the sum of the first two.
-        let m = [1.0, 2.0, 3.0, 2.0, 5.0, 1.0, 3.0, 7.0, 4.0];
-        assert!(inv3(&m).is_none());
-        let mut nf = m;
-        nf[0] = f64::NAN;
-        assert!(inv3(&nf).is_none());
-        // Scale invariance: a tiny well-conditioned matrix still inverts.
-        let tiny = [4e-30, 1e-30, 0.0, 1e-30, 3e-30, 0.0, 0.0, 0.0, 2e-30];
-        assert!(inv3(&tiny).is_some());
-    }
-
-    #[test]
-    fn quad_min_is_the_quadratic_minimum() {
+    fn quad_form_gives_the_quadratic_minimum() {
         let a = [4.0, 1.0, -0.5, 1.0, 3.0, 0.25, -0.5, 0.25, 2.0];
         let b = [1.0, -2.0, 0.5];
         let c = 7.0;
-        let inv = inv3(&a).expect("invertible");
-        let m = quad_min(c, &b, &inv);
+        let (inv, _) = inv3_spd(&a).expect("spd");
+        let m = c - quad_form(&b, &inv);
+        assert!(quad_form(&b, &inv) > 0.0);
         // Sample the quadratic around the analytic argmin: no sampled
         // value may fall below the closed-form minimum.
         let argmin = [
@@ -591,12 +483,32 @@ mod tests {
     }
 
     #[test]
-    fn quad_min_clamps_at_zero_and_absorbs_non_finite() {
-        let inv = inv3(&[1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]).expect("identity");
-        // c smaller than b^T b: exact-arithmetic negative, clamped.
-        assert_eq!(quad_min(1.0, &[2.0, 0.0, 0.0], &inv), 0.0);
-        assert_eq!(quad_min(f64::NAN, &[0.0; 3], &inv), 0.0);
-        assert_eq!(quad_min(1.0, &[f64::INFINITY, 0.0, 0.0], &inv), 0.0);
+    fn inv3_inverts_well_conditioned_matrices() {
+        let m = [4.0, 1.0, -0.5, 1.0, 3.0, 0.25, -0.5, 0.25, 2.0];
+        let (inv, _) = inv3_det(&m).expect("invertible");
+        for i in 0..3 {
+            for j in 0..3 {
+                let mut s = 0.0;
+                for k in 0..3 {
+                    s += m[i * 3 + k] * inv[k * 3 + j];
+                }
+                let want = if i == j { 1.0 } else { 0.0 };
+                assert!((s - want).abs() < 1e-12, "({i},{j}): {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn inv3_rejects_singular_and_non_finite() {
+        // Rank-2: third row is the sum of the first two.
+        let m = [1.0, 2.0, 3.0, 2.0, 5.0, 1.0, 3.0, 7.0, 4.0];
+        assert!(inv3_det(&m).is_none());
+        let mut nf = m;
+        nf[0] = f64::NAN;
+        assert!(inv3_det(&nf).is_none());
+        // Scale invariance: a tiny well-conditioned matrix still inverts.
+        let tiny = [4e-30, 1e-30, 0.0, 1e-30, 3e-30, 0.0, 0.0, 0.0, 2e-30];
+        assert!(inv3_spd(&tiny).is_some());
     }
 
     #[test]

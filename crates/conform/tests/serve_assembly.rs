@@ -26,8 +26,9 @@ fn serve_assembled_corpus_matches_pairwise_drivers() {
     assert!(!small.is_empty(), "small corpus tier must not be empty");
 
     // Budget sized so every tenant's fair share holds a resident pair:
-    // the pressure model places everyone at the base SIMD level with no
-    // shedding, which is what the bit-identity contract requires.
+    // the pressure model places everyone on the top rung (the pruned
+    // driver) with no shedding, which is what the bit-identity contract
+    // requires.
     let max_frame_bytes = small
         .iter()
         .map(|c| {
@@ -64,7 +65,7 @@ fn serve_assembled_corpus_matches_pairwise_drivers() {
         assert_eq!(
             report.outcomes[0].status,
             PairStatus::Ok,
-            "case {} did not complete at the base level",
+            "case {} did not complete on the top rung",
             case.name
         );
         let served = report.results[0].as_ref().expect("served result");

@@ -3,8 +3,9 @@
 //! The service layer (`sma-serve`) enforces per-frame deadlines: a
 //! watchdog thread flips a [`CancelToken`] when a frame's budget runs
 //! out, and the driver notices at its next *cancellation point* — once
-//! per pixel row in the exact kernels, once per segment / offset plane
-//! in the integral and SIMD fast paths — and returns
+//! per pixel row in the exact kernels, once per segment in the
+//! segmented drivers, between phases in the integral and pruned
+//! drivers — and returns
 //! [`SmaError::DeadlineExceeded`] instead of finishing the frame.
 //!
 //! Tokens are installed per *thread* (the worker processing the frame)

@@ -446,11 +446,15 @@ pub fn track_all_integral(
     })
 }
 
-/// Interior pixels served by the translation-only shed level.
+/// Interior pixels served by the translation-only driver (the serve's
+/// semi-fluid step).
 static TRANSLATION_PIXELS: sma_obs::Counter = sma_obs::Counter::new("fastpath.translation_pixels");
 
-/// The bottom rung of the load-shedding ladder: translation-only
-/// `Fcont` matching on the moment planes.
+/// Translation-only matching on the moment planes: `sma-serve`'s
+/// semi-fluid step, the cheaper driver a semi-fluid tenant takes under
+/// byte pressure or after a deadline overrun on the pruned driver.
+/// Each hypothesis's template mapping is the model's own (the
+/// semi-fluid correspondence under `Fsemi`), so either model runs.
 ///
 /// Instead of solving the full 6 x 6 affine system per hypothesis, the
 /// parameter vector is fixed to the diagonal translation solution
@@ -462,8 +466,8 @@ static TRANSLATION_PIXELS: sma_obs::Counter = sma_obs::Counter::new("fastpath.tr
 /// tenants, not a conformance driver: border pixels (whose template
 /// window crosses the frame edge) are left invalid rather than routed
 /// through the exact kernel, and results are comparable but not
-/// bit-identical to the full ladder. Deterministic for fixed inputs,
-/// like every other driver.
+/// bit-identical to the pruned driver's. Deterministic for fixed
+/// inputs, like every other driver.
 ///
 /// # Errors
 /// [`sma_fault::GridError::EmptyRegion`] if the region is empty for the
@@ -642,26 +646,29 @@ mod tests {
 
     #[test]
     fn translation_only_recovers_uniform_shift() {
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(1.0, 1.0, &cfg);
-        let region = Region::Interior { margin: 10 };
-        let shed = track_all_translation_only(&f, &cfg, region).expect("translation-only");
-        let mut right = 0usize;
-        let mut total = 0usize;
-        for (x, y) in shed.region.pixels() {
-            let e = shed.estimates.at(x, y);
-            assert!(e.valid, "interior pixel ({x},{y}) must track");
-            total += 1;
-            if (e.displacement.u - 1.0).abs() < 0.51 && (e.displacement.v - 1.0).abs() < 0.51 {
-                right += 1;
+        // The 10 px margin equals the semi-fluid margin of `small_test`.
+        for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
+            let cfg = SmaConfig::small_test(model);
+            let f = frames_for_shift(1.0, 1.0, &cfg);
+            let region = Region::Interior { margin: 10 };
+            let shed = track_all_translation_only(&f, &cfg, region).expect("translation-only");
+            let mut right = 0usize;
+            let mut total = 0usize;
+            for (x, y) in shed.region.pixels() {
+                let e = shed.estimates.at(x, y);
+                assert!(e.valid, "{model:?}: interior pixel ({x},{y}) must track");
+                total += 1;
+                if (e.displacement.u - 1.0).abs() < 0.51 && (e.displacement.v - 1.0).abs() < 0.51 {
+                    right += 1;
+                }
             }
+            // A degraded mode, not an exact one: most pixels still land
+            // on the true displacement for a pure translation.
+            assert!(
+                right * 10 >= total * 9,
+                "{model:?}: translation-only found the shift at {right}/{total} pixels"
+            );
         }
-        // A degraded mode, not an exact one: most pixels still land on
-        // the true displacement for a pure translation.
-        assert!(
-            right * 10 >= total * 9,
-            "translation-only found the shift at {right}/{total} pixels"
-        );
     }
 
     #[test]

@@ -40,9 +40,11 @@
 //! * [`maspar_driver`] — execution against the `maspar-sim` machine
 //!   (folded data, read-out neighborhood fetching, cost ledger): the
 //!   paper's parallel algorithm, result-identical to [`sequential`];
-//! * [`precompute`] — §4.1's shared template-mapping precomputation with
-//!   the extended-window sliding minimization, and §4.3's segmentation
-//!   by hypothesis rows;
+//! * [`precompute`] — §4.1's shared template-mapping precomputation,
+//!   segmented by hypothesis rows as in §4.3: each segment stores every
+//!   pixel's mapped gradient under each of its offsets (the semi-fluid
+//!   correspondence, computed per `(p, o)` by direct search, under
+//!   `Fsemi`), and the store is discarded before the next segment;
 //! * [`fastpath`] — O(1)-per-hypothesis matching: the normal equations
 //!   factor into moment planes whose summed-area tables answer every
 //!   tracked pixel's template sums in four corner lookups per moment

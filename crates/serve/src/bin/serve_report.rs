@@ -66,8 +66,8 @@ struct Fleet {
 
 impl Fleet {
     /// N analog tenants sized so every fair share holds a resident pair
-    /// (two artifact sets): everyone runs at the base SIMD level, no
-    /// shedding, which is what the bit-identity check needs.
+    /// (two artifact sets): everyone runs on the top rung (the pruned
+    /// driver), no shedding, which is what the bit-identity check needs.
     fn new(tenants: usize, side: usize, frames: usize, workers: usize) -> Self {
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
         let frame_bytes = sma_core::FrameArtifacts::estimate_bytes(side, side);

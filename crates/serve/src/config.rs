@@ -1,6 +1,9 @@
 //! Service configuration.
 
-use crate::degrade::DegradeLevel;
+/// First retry backoff in milliseconds; doubles per attempt.
+const BACKOFF_BASE_MS: u64 = 1;
+/// Backoff ceiling in milliseconds.
+const BACKOFF_CAP_MS: u64 = 8;
 
 /// Tuning knobs of one [`SmaService`](crate::service::SmaService).
 ///
@@ -28,10 +31,6 @@ pub struct ServeConfig {
     /// Retry budget for *transient* faults (injected worker death,
     /// injected deadline overrun) per pair.
     pub max_retries: u32,
-    /// First retry backoff in milliseconds; doubles per attempt.
-    pub backoff_base_ms: u64,
-    /// Backoff ceiling in milliseconds.
-    pub backoff_cap_ms: u64,
     /// Consecutive non-transient failures before a tenant's circuit
     /// opens.
     pub circuit_k: u32,
@@ -39,9 +38,6 @@ pub struct ServeConfig {
     /// half-open probe. Measured in polls, not wall-clock, so breaker
     /// traces are deterministic.
     pub circuit_cooldown_polls: u32,
-    /// Driver level unsaturated tenants run at (top of the degrade
-    /// ladder).
-    pub base_level: DegradeLevel,
 }
 
 impl ServeConfig {
@@ -53,21 +49,18 @@ impl ServeConfig {
             queue_capacity_pairs: 256,
             deadline_ms: None,
             max_retries: 2,
-            backoff_base_ms: 1,
-            backoff_cap_ms: 8,
             circuit_k: 3,
             circuit_cooldown_polls: 4,
-            base_level: DegradeLevel::Simd,
         }
     }
 
     /// The backoff before retry number `attempt` (1-based):
-    /// `base * 2^(attempt-1)` capped at `backoff_cap_ms`.
-    pub fn backoff_ms(&self, attempt: u32) -> u64 {
+    /// `1 ms * 2^(attempt-1)` capped at 8 ms.
+    pub fn backoff_ms(attempt: u32) -> u64 {
         let exp = attempt.saturating_sub(1).min(16);
-        self.backoff_base_ms
+        BACKOFF_BASE_MS
             .saturating_mul(1u64 << exp)
-            .min(self.backoff_cap_ms)
+            .min(BACKOFF_CAP_MS)
     }
 }
 
@@ -77,11 +70,10 @@ mod tests {
 
     #[test]
     fn backoff_doubles_and_caps() {
-        let cfg = ServeConfig::new(1 << 20);
-        assert_eq!(cfg.backoff_ms(1), 1);
-        assert_eq!(cfg.backoff_ms(2), 2);
-        assert_eq!(cfg.backoff_ms(3), 4);
-        assert_eq!(cfg.backoff_ms(4), 8);
-        assert_eq!(cfg.backoff_ms(9), 8, "capped");
+        assert_eq!(ServeConfig::backoff_ms(1), 1);
+        assert_eq!(ServeConfig::backoff_ms(2), 2);
+        assert_eq!(ServeConfig::backoff_ms(3), 4);
+        assert_eq!(ServeConfig::backoff_ms(4), 8);
+        assert_eq!(ServeConfig::backoff_ms(9), 8, "capped");
     }
 }

@@ -1,65 +1,46 @@
-//! The load-shedding degrade ladder.
+//! The load-shedding degrade step.
 //!
-//! A saturated tenant's frames step down the ladder before any frame is
-//! dropped: the pruned driver's SIMD lane kernels first give way to the
-//! integral fast path (bit-identical output, less lane bookkeeping),
-//! then to the translation-only Fcont driver (a strict subset of the
-//! hypothesis space — cheaper by the affine-refinement factor,
-//! comparable but not bit-identical output). Only past the bottom rung
-//! are pairs shed outright. Each rung calls its own driver.
+//! Every tenant runs the production pruned driver. A semi-fluid tenant
+//! has one cheaper step below it: the translation-only driver, which
+//! fixes each hypothesis's affine parameters to the translation
+//! solution instead of re-routing near-ties through the exact kernel
+//! (comparable, not bit-identical output). A continuous tenant has no
+//! cheaper step — the pruned driver is the fastest way to track an
+//! `Fcont` pair — so it stays on the top rung, and work it cannot
+//! afford is shed outright.
 //!
 //! Pressure is *byte* pressure: the tenant's fair-share cache shard
 //! relative to what a resident pair needs. That signal is fixed at
-//! admission time — a pure function of the admission sequence, not of
-//! scheduling — so a tenant's degrade level (and therefore its output
-//! bits) is reproducible run to run.
+//! admission time — a pure function of the admission sequence and each
+//! tenant's motion model, not of scheduling — so a tenant's degrade
+//! level (and therefore its output bits) is reproducible run to run.
 
 use sma_core::sequential::Region;
 use sma_core::sequential::SmaResult;
 use sma_core::{
-    track_all_integral, track_all_pruned, track_all_translation_only, SmaConfig, SmaError,
-    SmaFrames,
+    track_all_pruned, track_all_translation_only, MotionModel, SmaConfig, SmaError, SmaFrames,
 };
 
 /// One rung of the degrade ladder, top first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DegradeLevel {
-    /// Full-speed SIMD lane kernels: the pruned driver
-    /// ([`sma_core::track_all_pruned`]).
-    Simd,
-    /// Integral-image fast path ([`sma_core::track_all_integral`]) —
-    /// bit-identical to the top rung, no lane kernels.
-    Integral,
-    /// Translation-only Fcont ([`sma_core::track_all_translation_only`])
-    /// — the shedding fallback; comparable, not bit-identical.
+    /// The production pruned driver ([`sma_core::track_all_pruned`]).
+    Pruned,
+    /// Translation-only matching
+    /// ([`sma_core::track_all_translation_only`]) — the semi-fluid
+    /// step; comparable, not bit-identical.
     TranslationOnly,
 }
 
 impl DegradeLevel {
-    /// Ladder position, 0 at the top.
-    pub fn depth(self) -> u8 {
-        match self {
-            DegradeLevel::Simd => 0,
-            DegradeLevel::Integral => 1,
-            DegradeLevel::TranslationOnly => 2,
-        }
-    }
-
-    /// The next rung down, `None` at the bottom.
-    pub fn lower(self) -> Option<Self> {
-        match self {
-            DegradeLevel::Simd => Some(DegradeLevel::Integral),
-            DegradeLevel::Integral => Some(DegradeLevel::TranslationOnly),
-            DegradeLevel::TranslationOnly => None,
-        }
-    }
-
-    /// Stable name for reports and counters.
-    pub fn name(self) -> &'static str {
-        match self {
-            DegradeLevel::Simd => "simd",
-            DegradeLevel::Integral => "integral",
-            DegradeLevel::TranslationOnly => "translation_only",
+    /// The next rung down for a tenant of motion model `model`: only a
+    /// semi-fluid tenant steps from [`DegradeLevel::Pruned`] to
+    /// [`DegradeLevel::TranslationOnly`]. `None` where there is no
+    /// cheaper rung.
+    pub fn lower(self, model: MotionModel) -> Option<Self> {
+        match (self, model) {
+            (DegradeLevel::Pruned, MotionModel::SemiFluid) => Some(DegradeLevel::TranslationOnly),
+            _ => None,
         }
     }
 
@@ -75,34 +56,26 @@ impl DegradeLevel {
         region: Region,
     ) -> Result<SmaResult, SmaError> {
         match self {
-            DegradeLevel::Simd => track_all_pruned(frames, cfg, region),
-            DegradeLevel::Integral => track_all_integral(frames, cfg, region),
+            DegradeLevel::Pruned => track_all_pruned(frames, cfg, region),
             DegradeLevel::TranslationOnly => track_all_translation_only(frames, cfg, region),
         }
     }
 }
 
-/// The level (and shed decision) byte pressure dictates, starting from
-/// `base`. `needed_bytes` is a resident pair (two frame-artifact sets);
-/// `shard_bytes` is the tenant's fair share. One rung down per doubling
-/// of oversubscription; past 4x even the bottom rung cannot keep up
-/// with the recompute traffic, so alternate pairs are shed.
+/// The level (and shed decision) byte pressure dictates for a tenant of
+/// motion model `model`. `needed_bytes` is a resident pair (two
+/// frame-artifact sets); `shard_bytes` is the tenant's fair share. Past
+/// 2x oversubscription a tenant takes its cheaper rung, if its model
+/// has one; past 4x alternate pairs are shed as well.
 pub fn level_for_pressure(
-    base: DegradeLevel,
+    model: MotionModel,
     needed_bytes: usize,
     shard_bytes: usize,
 ) -> (DegradeLevel, bool) {
-    let steps = if shard_bytes >= needed_bytes {
-        0
-    } else if 2 * shard_bytes >= needed_bytes {
-        1
-    } else {
-        2
+    let level = match DegradeLevel::Pruned.lower(model) {
+        Some(lower) if 2 * shard_bytes < needed_bytes => lower,
+        _ => DegradeLevel::Pruned,
     };
-    let mut level = base;
-    for _ in 0..steps {
-        level = level.lower().unwrap_or(level);
-    }
     let shed = 4 * shard_bytes < needed_bytes;
     (level, shed)
 }
@@ -113,39 +86,45 @@ mod tests {
 
     #[test]
     fn ladder_steps_down_and_bottoms_out() {
-        assert_eq!(DegradeLevel::Simd.lower(), Some(DegradeLevel::Integral));
         assert_eq!(
-            DegradeLevel::Integral.lower(),
+            DegradeLevel::Pruned.lower(MotionModel::SemiFluid),
             Some(DegradeLevel::TranslationOnly)
         );
-        assert_eq!(DegradeLevel::TranslationOnly.lower(), None);
-        assert!(DegradeLevel::Simd.depth() < DegradeLevel::TranslationOnly.depth());
+        assert_eq!(DegradeLevel::Pruned.lower(MotionModel::Continuous), None);
+        for model in [MotionModel::Continuous, MotionModel::SemiFluid] {
+            assert_eq!(DegradeLevel::TranslationOnly.lower(model), None);
+        }
     }
 
     #[test]
     fn pressure_maps_to_rungs() {
-        let base = DegradeLevel::Simd;
-        assert_eq!(
-            level_for_pressure(base, 100, 100),
-            (DegradeLevel::Simd, false)
-        );
-        assert_eq!(
-            level_for_pressure(base, 100, 60),
-            (DegradeLevel::Integral, false)
-        );
-        assert_eq!(
-            level_for_pressure(base, 100, 40),
-            (DegradeLevel::TranslationOnly, false)
-        );
-        assert_eq!(
-            level_for_pressure(base, 100, 20),
-            (DegradeLevel::TranslationOnly, true)
-        );
+        use DegradeLevel::{Pruned, TranslationOnly};
+        // needed/shard at 1, 2 and 4, and just past each.
+        let shard = 100;
+        let cases = [
+            (100, Pruned, Pruned, false),
+            (101, Pruned, Pruned, false),
+            (200, Pruned, Pruned, false),
+            (201, Pruned, TranslationOnly, false),
+            (400, Pruned, TranslationOnly, false),
+            (401, Pruned, TranslationOnly, true),
+        ];
+        for (needed, cont, semi, shed) in cases {
+            assert_eq!(
+                level_for_pressure(MotionModel::Continuous, needed, shard),
+                (cont, shed),
+                "Fcont at {needed}/{shard}"
+            );
+            assert_eq!(
+                level_for_pressure(MotionModel::SemiFluid, needed, shard),
+                (semi, shed),
+                "Fsemi at {needed}/{shard}"
+            );
+        }
     }
 
     #[test]
     fn rungs_run_their_drivers() {
-        use sma_core::MotionModel;
         use sma_grid::Grid;
 
         let cfg = SmaConfig::small_test(MotionModel::Continuous);
@@ -170,25 +149,13 @@ mod tests {
                 );
             }
         };
-        // The top two rungs differ in speed only.
-        same_bits(
-            &run(DegradeLevel::Simd),
-            &run(DegradeLevel::Integral),
-            "simd vs integral rung",
-        );
-        // The bottom rung is the translation-only driver.
+        let top = track_all_pruned(&frames, &cfg, region).expect("pruned");
+        same_bits(&run(DegradeLevel::Pruned), &top, "pruned rung");
         let shed = track_all_translation_only(&frames, &cfg, region).expect("translation-only");
         same_bits(
             &run(DegradeLevel::TranslationOnly),
             &shed,
             "translation-only rung",
         );
-    }
-
-    #[test]
-    fn degraded_base_saturates_at_bottom() {
-        let (level, shed) = level_for_pressure(DegradeLevel::TranslationOnly, 100, 40);
-        assert_eq!(level, DegradeLevel::TranslationOnly);
-        assert!(!shed);
     }
 }

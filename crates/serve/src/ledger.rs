@@ -1,16 +1,18 @@
 //! Service-level accounting with a decision/outcome balance invariant.
 //!
-//! Every load-shedding *decision* (running a pair below the base level,
-//! or dropping it) must be balanced by exactly one shedding *outcome*:
+//! Every load-shedding *decision* (running a semi-fluid pair on the
+//! translation-only step, or dropping a pair) must be balanced by
+//! exactly one shedding *outcome*:
 //!
 //! ```text
 //! shed_requested == frames_degraded + pairs_dropped_shed
 //! ```
 //!
 //! `shed_requested` counts on the decision side — once per pair, the
-//! moment the scheduler or the deadline ladder commits the pair to a
-//! sub-base fate. The outcome side counts where the pair actually
-//! landed: completed below base ([`ServeLedger::frames_degraded`]) or
+//! moment the scheduler, the pressure map or a deadline overrun commits
+//! the pair to a fate below the top rung. The outcome side counts where
+//! the pair actually landed: completed on the translation-only step
+//! ([`ServeLedger::frames_degraded`], semi-fluid pairs only) or
 //! produced no result ([`ServeLedger::pairs_dropped_shed`]). Failures
 //! and circuit skips live *outside* the invariant — they are fault
 //! outcomes, not shedding outcomes — mirroring how the fault crate's
@@ -71,10 +73,10 @@ ledger_fields! {
     rejected => REJECTED,
     /// Pairs that produced a result (at any level).
     pairs_completed => PAIRS_COMPLETED,
-    /// Shedding decisions: pairs committed to run below base or be
-    /// dropped (once per pair).
+    /// Shedding decisions: pairs committed to run below the top rung
+    /// or be dropped (once per pair).
     shed_requested => SHED_REQUESTED,
-    /// Shed-flagged pairs that completed below the base level.
+    /// Shed-flagged pairs that completed on the translation-only step.
     frames_degraded => FRAMES_DEGRADED,
     /// Shed-flagged pairs that produced no result.
     pairs_dropped_shed => PAIRS_DROPPED,

@@ -14,15 +14,18 @@
 //!   [`sma_core::FrameArtifacts::estimate_bytes`] without preparing
 //!   anything) and the queue-depth model say it fits; otherwise the
 //!   typed [`sma_fault::SmaError::Overloaded`].
-//! * **Backpressure + load shedding** ([`degrade`]) — a saturated
-//!   tenant's frames step down the driver ladder
-//!   (SIMD → integral → translation-only Fcont) before any frame is
-//!   dropped, and every shed/degrade decision is balance-checked in the
+//! * **Backpressure + load shedding** ([`degrade`]) — past 2x byte
+//!   pressure a semi-fluid tenant steps from the pruned driver to the
+//!   cheaper translation-only driver; a continuous tenant, which has no
+//!   cheaper driver, stays on the pruned one. Past 4x alternate pairs
+//!   are dropped. Every shed/degrade decision is balance-checked in the
 //!   service ledger ([`ledger::ServeLedgerSnapshot::balanced`]).
 //! * **Per-frame deadlines** — a watchdog cancels work past its budget
-//!   through the cooperative [`sma_core::cancel`] points; transient
-//!   faults (injected worker death, injected deadline overrun) are
-//!   retried with bounded exponential backoff.
+//!   through the cooperative [`sma_core::cancel`] points; a semi-fluid
+//!   pair that overruns gets one more attempt on the translation-only
+//!   step, any other overrunning pair is shed. Transient faults
+//!   (injected worker death, injected deadline overrun) are retried
+//!   with bounded exponential backoff.
 //! * **Tenant isolation** ([`breaker`]) — a poisoned or fault-storming
 //!   tenant is circuit-broken (quarantined after K consecutive
 //!   failures, half-open probe recovery) without perturbing other

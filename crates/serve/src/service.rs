@@ -6,7 +6,8 @@
 //! one host-level byte budget (the §4.3-derived aggregate slack), with
 //! fair shares recomputed — only ever *downward* — as tenants are
 //! admitted, so a tenant's shard size, degrade level and shed decision
-//! are pure functions of the admission sequence, never of scheduling.
+//! are pure functions of the admission sequence (with each tenant's
+//! motion model), never of scheduling.
 //!
 //! Per-tenant output is bit-identical to a solo
 //! [`sma_stream::StreamEngine`] replay of the same sequence because the
@@ -20,7 +21,7 @@
 //! tenant's shard or results. The standing isolation test pins exactly
 //! this.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -140,11 +141,11 @@ impl SmaService {
             e.shard_bytes = fair;
             e.shard.lock().resize_budget(fair);
             let needed = 2 * e.seq.frame_bytes().max(1);
-            (e.level, e.shed) = level_for_pressure(self.cfg.base_level, needed, fair);
+            (e.level, e.shed) = level_for_pressure(e.seq.cfg.model, needed, fair);
         }
         let shard =
             SharedArtifactCache::new(ArtifactCache::new(fair).with_meter(Arc::clone(&self.meter)));
-        let (level, shed) = level_for_pressure(self.cfg.base_level, 2 * frame_bytes, fair);
+        let (level, shed) = level_for_pressure(seq.cfg.model, 2 * frame_bytes, fair);
         let id = self.tenants.len();
         self.tenants.push(TenantEntry {
             seq,
@@ -318,10 +319,10 @@ fn worker_loop(
                         continue;
                     }
                     if tenants[i].shed && s.next_pair[i] % 2 == 1 {
-                        // Load shedding: past 4x oversubscription the
-                        // bottom rung cannot absorb the recompute
-                        // traffic, so alternate pairs are dropped —
-                        // decision and outcome counted together.
+                        // Load shedding: past 4x oversubscription no
+                        // rung absorbs the recompute traffic, so
+                        // alternate pairs are dropped — decision and
+                        // outcome counted together.
                         ledger.shed_requested(1);
                         ledger.pairs_dropped_shed(1);
                         consume(
@@ -418,8 +419,10 @@ fn consume(
 ///   attempt's token is pre-cancelled, the driver aborts at its next
 ///   checkpoint, and the retry runs at the same level.
 /// * a *real* watchdog cancellation — the pair cannot meet its budget
-///   at this level, so it steps down the degrade ladder (fresh
-///   attempt); past the bottom rung it is shed.
+///   at this level. A semi-fluid pair on the pruned driver takes one
+///   fresh attempt on the translation-only step
+///   ([`DegradeLevel::lower`]); any other pair is shed at once, since
+///   no cheaper driver exists for it.
 fn process_pair(
     cfg: &ServeConfig,
     entry: &TenantEntry,
@@ -435,12 +438,10 @@ fn process_pair(
     Option<SmaResult>,
 ) {
     let started = Instant::now();
-    let base = cfg.base_level;
     let mut level = entry.level;
-    let mut shed_flagged = false;
-    if level.depth() > base.depth() {
+    let mut shed_flagged = level != DegradeLevel::Pruned;
+    if shed_flagged {
         ledger.shed_requested(1);
-        shed_flagged = true;
     }
     let mut attempts: u32 = 0;
     let mut transient_retries: u32 = 0;
@@ -472,7 +473,9 @@ fn process_pair(
             }
             transient_retries += 1;
             ledger.retries(1);
-            std::thread::sleep(Duration::from_millis(cfg.backoff_ms(transient_retries)));
+            std::thread::sleep(Duration::from_millis(ServeConfig::backoff_ms(
+                transient_retries,
+            )));
             continue;
         }
 
@@ -505,7 +508,7 @@ fn process_pair(
                     tok.recovered();
                 }
                 ledger.pairs_completed(1);
-                let status = if level.depth() > base.depth() {
+                let status = if shed_flagged {
                     ledger.frames_degraded(1);
                     PairStatus::Degraded
                 } else {
@@ -531,23 +534,20 @@ fn process_pair(
                 }
                 transient_retries += 1;
                 ledger.retries(1);
-                std::thread::sleep(Duration::from_millis(cfg.backoff_ms(transient_retries)));
+                std::thread::sleep(Duration::from_millis(ServeConfig::backoff_ms(
+                    transient_retries,
+                )));
             }
             Err(SmaError::DeadlineExceeded { .. }) => {
                 // Real overrun: this level cannot meet the budget.
                 ledger.deadline_cancelled(1);
-                match level.lower() {
-                    Some(lower) => {
-                        if !shed_flagged {
-                            ledger.shed_requested(1);
-                            shed_flagged = true;
-                        }
-                        level = lower;
-                    }
+                if !shed_flagged {
+                    ledger.shed_requested(1);
+                    shed_flagged = true;
+                }
+                match level.lower(entry.seq.cfg.model) {
+                    Some(lower) => level = lower,
                     None => {
-                        if !shed_flagged {
-                            ledger.shed_requested(1);
-                        }
                         ledger.pairs_dropped_shed(1);
                         return (
                             PairStatus::DroppedShed,
@@ -609,6 +609,8 @@ fn ms(since: Instant) -> u64 {
 
 /// One registered attempt the watchdog is timing.
 struct DeadlineSlot {
+    /// Tells this registration apart from a later one reusing its slot.
+    id: u64,
     token: CancelToken,
     deadline: Instant,
     start: Instant,
@@ -620,16 +622,23 @@ struct DeadlineSlot {
 #[derive(Default)]
 struct Watchdog {
     slots: Mutex<Vec<Option<DeadlineSlot>>>,
+    /// Registration ids; relaxed, as they need only be unique (slots
+    /// are compared under the `slots` lock).
+    next_id: AtomicU64,
     cvar: Condvar,
     stopped: AtomicBool,
 }
 
 impl Watchdog {
-    fn register(&self, token: CancelToken, budget_ms: u64) -> usize {
+    /// Arm a deadline; returns `(slot index, registration id)` for
+    /// `deregister`.
+    fn register(&self, token: CancelToken, budget_ms: u64) -> (usize, u64) {
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut slots = lock_or_recover(&self.slots);
         let start = Instant::now();
         let deadline = start + Duration::from_millis(budget_ms);
         let entry = Some(DeadlineSlot {
+            id,
             token,
             deadline,
             start,
@@ -646,11 +655,14 @@ impl Watchdog {
             }
         };
         self.cvar.notify_all();
-        idx
+        (idx, id)
     }
 
-    fn deregister(&self, slot: usize) {
-        lock_or_recover(&self.slots)[slot] = None;
+    /// Disarm registration `(slot, id)`. A firing empties the slot
+    /// first, and another attempt may have re-armed it since, so only
+    /// the same registration is cleared.
+    fn deregister(&self, (slot, id): (usize, u64)) {
+        lock_or_recover(&self.slots)[slot].take_if(|s| s.id == id);
     }
 
     fn stop(&self) {
@@ -687,5 +699,28 @@ impl Watchdog {
                 .unwrap_or_else(|e| e.into_inner());
             slots = guard;
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn deregister_leaves_a_reused_slot_armed() {
+        let wd = Watchdog::default();
+        let a = wd.register(CancelToken::new(), 60_000);
+        // A's deadline fires: the watchdog empties its slot.
+        lock_or_recover(&wd.slots)[a.0] = None;
+        let b = wd.register(CancelToken::new(), 60_000);
+        assert_eq!(a.0, b.0, "B reuses A's slot");
+        // A's attempt returns late and disarms its own registration.
+        wd.deregister(a);
+        assert!(
+            lock_or_recover(&wd.slots)[b.0].is_some(),
+            "B's deadline was disarmed"
+        );
+        wd.deregister(b);
+        assert!(lock_or_recover(&wd.slots)[b.0].is_none());
     }
 }

@@ -84,11 +84,14 @@ impl TenantSeq {
 /// How one pair ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PairStatus {
-    /// Completed at the base level.
+    /// Completed on the top rung ([`DegradeLevel::Pruned`]).
     Ok,
-    /// Completed below the base level (pressure or deadline ladder).
+    /// A semi-fluid pair completed on
+    /// [`DegradeLevel::TranslationOnly`], by byte pressure or after an
+    /// overrun on the top rung.
     Degraded,
-    /// Shed: no result, by backpressure or deadline exhaustion.
+    /// Shed: no result, by backpressure or a deadline overrun on the
+    /// tenant's lowest rung.
     DroppedShed,
     /// Failed with a non-transient error.
     Failed(SmaError),

@@ -260,7 +260,8 @@ fn pruned_bands(frames: &SmaFrames, cfg: &SmaConfig, region: Region) -> u64 {
 /// `pruned_band` root per spawned band, with that band's
 /// `pruned_static`, `pruned_screen`, `pruned_offset_planes` and
 /// `pruned_eval` spans beneath it; the first band's stay under
-/// `track_pruned`.
+/// `track_pruned`. The document gives each row a `self_seconds` beside
+/// its `seconds`: the time none of its child spans accounts for.
 fn kernel_breakdown(s: &Scenario) -> Vec<(String, u64, f64)> {
     let cfg = config_for(s);
     let frames = shifted_frames(s.side, s.side, 1.0, 0.0, &cfg);
@@ -279,6 +280,19 @@ fn kernel_breakdown(s: &Scenario) -> Vec<(String, u64, f64)> {
         .collect();
     sma_obs::set_level(prev);
     rows
+}
+
+/// Seconds of the rows exactly one path segment below `path` — the
+/// part of that span's time its child spans account for.
+fn child_seconds(rows: &[(String, u64, f64)], path: &str) -> f64 {
+    rows.iter()
+        .filter(|r| {
+            r.0.strip_prefix(path)
+                .and_then(|rest| rest.strip_prefix('/'))
+                .is_some_and(|leaf| !leaf.contains('/'))
+        })
+        .map(|r| r.2)
+        .sum()
 }
 
 /// Prune-rate counters from one pruned run on the gate scenario:
@@ -451,7 +465,8 @@ fn main() {
     ));
     for (i, (path, calls, secs)) in kernels.iter().enumerate() {
         json.push_str(&format!(
-            "    {{ \"path\": \"{path}\", \"calls\": {calls}, \"seconds\": {secs:.6} }}{}\n",
+            "    {{ \"path\": \"{path}\", \"calls\": {calls}, \"seconds\": {secs:.6}, \"self_seconds\": {:.6} }}{}\n",
+            secs - child_seconds(&kernels, path),
             if i + 1 < kernels.len() { "," } else { "" }
         ));
     }

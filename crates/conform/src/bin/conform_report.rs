@@ -107,11 +107,12 @@ fn main() {
         println!("\n=== case {} ({:?}) ===", case.name, case.cfg.model);
 
         // --- Phase 1: canonical run per driver, with the runtime-combo
-        // invariance gate (obs level and armed-rate-0 faults must not
-        // change one bit).
+        // invariance gate (obs level, armed-rate-0 faults and trace
+        // recording must not change one bit). The base is the first
+        // combo whose run succeeded; later combos are diffed against it.
         let mut canonical: HashMap<DriverKind, SmaResult> = HashMap::new();
         for d in ALL_DRIVERS {
-            let mut base: Option<SmaResult> = None;
+            let mut base: Option<(RuntimeCombo, SmaResult)> = None;
             for combo in ALL_COMBOS {
                 let run = combo.with(|| {
                     let frames = case.frames()?;
@@ -131,8 +132,8 @@ fn main() {
                     }
                 };
                 match &base {
-                    None => base = Some(result),
-                    Some(b) => {
+                    None => base = Some((combo, result)),
+                    Some((base_combo, b)) => {
                         let diff = diff_results(b, &result);
                         if !diff.bit_identical() {
                             let first = diff.first.as_ref().map(divergence_str);
@@ -140,13 +141,7 @@ fn main() {
                                 "{}: driver {} diverges between combos {} and {}: {}",
                                 case.name,
                                 d.name(),
-                                RuntimeCombo {
-                                    obs: false,
-                                    faults_armed: false,
-                                    simd: true,
-                                    trace: false
-                                }
-                                .name(),
+                                base_combo.name(),
                                 combo.name(),
                                 first.unwrap_or_default()
                             ));
@@ -154,7 +149,7 @@ fn main() {
                     }
                 }
             }
-            if let Some(b) = base {
+            if let Some((_, b)) = base {
                 canonical.insert(d, b);
             }
         }

@@ -146,63 +146,47 @@ pub fn run_maspar(case: &ConformCase, scheme: ReadoutScheme) -> Result<MasparRun
 
 /// A runtime feature combination. The `obs` and `fault` cargo features
 /// are compile-time, but both layers are runtime-togglable inside one
-/// binary: observability through its level filter, the fault harness by
-/// arming it at rate 0 (every injection site evaluates its gate but
-/// nothing fires), and the lane-kernel layer through
-/// `sma_grid::simd::set_enabled`. The conformance claim is that none of
-/// the toggles may change a single output bit.
+/// binary: observability through its level filter and the fault harness
+/// by arming it at rate 0 (every injection site evaluates its gate but
+/// nothing fires). The conformance claim is that none of the toggles may
+/// change a single output bit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeCombo {
     /// Observability recording on (`summary` level) or `off`.
     pub obs: bool,
     /// Fault harness armed at rate 0 vs fully disarmed.
     pub faults_armed: bool,
-    /// Lane-kernel SIMD layer enabled (the default) vs forced scalar.
-    pub simd: bool,
     /// Flight-recorder span/counter capture on vs off.
     pub trace: bool,
 }
 
-/// The six runtime combinations every driver is replayed under: the
-/// obs x faults square with the SIMD kernels on (their default), a
-/// forced-scalar run pinning the kernels' bit-identity claim, and an
-/// obs run with the flight recorder capturing — tracing must not change
-/// a single output bit either.
-pub const ALL_COMBOS: [RuntimeCombo; 6] = [
+/// The five runtime combinations every driver is replayed under: the
+/// obs x faults square, and an obs run with the flight recorder
+/// capturing — tracing must not change a single output bit either.
+pub const ALL_COMBOS: [RuntimeCombo; 5] = [
     RuntimeCombo {
         obs: false,
         faults_armed: false,
-        simd: true,
         trace: false,
     },
     RuntimeCombo {
         obs: true,
         faults_armed: false,
-        simd: true,
         trace: false,
     },
     RuntimeCombo {
         obs: false,
         faults_armed: true,
-        simd: true,
         trace: false,
     },
     RuntimeCombo {
         obs: true,
         faults_armed: true,
-        simd: true,
-        trace: false,
-    },
-    RuntimeCombo {
-        obs: false,
-        faults_armed: false,
-        simd: false,
         trace: false,
     },
     RuntimeCombo {
         obs: true,
         faults_armed: false,
-        simd: true,
         trace: true,
     },
 ];
@@ -212,45 +196,36 @@ pub const ALL_COMBOS: [RuntimeCombo; 6] = [
 pub const COMBO_FAULT_SEED: u64 = 42;
 
 impl RuntimeCombo {
-    /// Stable display name, e.g. `obs+faults0`.
-    pub fn name(self) -> &'static str {
-        if self.trace {
-            return match (self.obs, self.faults_armed, self.simd) {
-                (false, false, true) => "trace",
-                (true, false, true) => "obs+trace",
-                (false, true, true) => "faults0+trace",
-                (true, true, true) => "obs+faults0+trace",
-                (false, false, false) => "scalar+trace",
-                (true, false, false) => "obs+scalar+trace",
-                (false, true, false) => "faults0+scalar+trace",
-                (true, true, false) => "obs+faults0+scalar+trace",
-            };
-        }
-        match (self.obs, self.faults_armed, self.simd) {
-            (false, false, true) => "plain",
-            (true, false, true) => "obs",
-            (false, true, true) => "faults0",
-            (true, true, true) => "obs+faults0",
-            (false, false, false) => "scalar",
-            (true, false, false) => "obs+scalar",
-            (false, true, false) => "faults0+scalar",
-            (true, true, false) => "obs+faults0+scalar",
+    /// Stable display name: the set flags joined by `+` in the order
+    /// `obs`, `faults0`, `trace` (e.g. `obs+faults0`), or `plain` when
+    /// none is set.
+    pub fn name(self) -> String {
+        let set: Vec<&str> = [
+            (self.obs, "obs"),
+            (self.faults_armed, "faults0"),
+            (self.trace, "trace"),
+        ]
+        .into_iter()
+        .filter_map(|(on, flag)| on.then_some(flag))
+        .collect();
+        if set.is_empty() {
+            "plain".to_string()
+        } else {
+            set.join("+")
         }
     }
 
     /// Run `f` with this combination installed, restoring the previous
-    /// obs level and SIMD toggle and disarming the fault harness
+    /// obs level and trace recording and disarming the fault harness
     /// afterwards.
     pub fn with<T>(self, f: impl FnOnce() -> T) -> T {
         let prev = sma_obs::level();
-        let prev_simd = sma_grid::simd::enabled();
         let prev_trace = sma_obs::trace::recording();
         sma_obs::set_level(if self.obs {
             sma_obs::ObsLevel::Summary
         } else {
             sma_obs::ObsLevel::Off
         });
-        sma_grid::simd::set_enabled(self.simd);
         sma_obs::trace::set_recording(self.trace);
         if self.faults_armed {
             sma_fault::install(COMBO_FAULT_SEED, 0.0);
@@ -260,7 +235,6 @@ impl RuntimeCombo {
         let out = f();
         sma_fault::disarm();
         sma_obs::trace::set_recording(prev_trace);
-        sma_grid::simd::set_enabled(prev_simd);
         sma_obs::set_level(prev);
         out
     }

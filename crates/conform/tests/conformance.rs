@@ -99,11 +99,10 @@ fn runtime_combos_do_not_change_output_bits() {
         }
     }
     // Keep the loop honest about coverage.
-    assert_eq!(ALL_COMBOS.len(), 6);
+    assert_eq!(ALL_COMBOS.len(), 5);
     let _ = RuntimeCombo {
         obs: false,
         faults_armed: false,
-        simd: true,
         trace: false,
     };
 }

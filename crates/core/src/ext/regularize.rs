@@ -112,11 +112,7 @@ pub fn fill_invalid(
     for _ in 0..passes {
         next_f.copy_from(&f);
         next_ok.as_mut_slice().copy_from_slice(ok.as_slice());
-        let changed = if sma_grid::simd::enabled() {
-            fill_pass_lanes(&f, &ok, &mut next_f, &mut next_ok)
-        } else {
-            fill_pass_scalar(&f, &ok, &mut next_f, &mut next_ok)
-        };
+        let changed = fill_pass(&f, &ok, &mut next_f, &mut next_ok);
         std::mem::swap(&mut f, &mut next_f);
         std::mem::swap(&mut ok, &mut next_ok);
         if !changed {
@@ -126,8 +122,9 @@ pub fn fill_invalid(
     (f, ok)
 }
 
-/// One relaxation pass of [`fill_invalid`], scalar sweep.
-fn fill_pass_scalar(
+/// One relaxation pass of [`fill_invalid`]: a plain loop, because its
+/// lane-chunked form measured slower (DESIGN.md §12).
+fn fill_pass(
     f: &FlowField,
     ok: &Grid<bool>,
     next_f: &mut FlowField,
@@ -161,59 +158,6 @@ fn fill_pass_scalar(
                 next_f.set(x, y, sum * (1.0 / n as f32));
                 next_ok.set(x, y, true);
                 changed = true;
-            }
-        }
-    }
-    changed
-}
-
-/// One relaxation pass of [`fill_invalid`], lane-chunked: each row's
-/// invalid pixels are gathered and processed eight at a time, with the
-/// 3x3 neighbor visit order (`dy` outer, `dx` inner) preserved per lane
-/// so every pixel accumulates its neighbors in the exact scalar order —
-/// the pass is bit-identical to [`fill_pass_scalar`].
-fn fill_pass_lanes(
-    f: &FlowField,
-    ok: &Grid<bool>,
-    next_f: &mut FlowField,
-    next_ok: &mut Grid<bool>,
-) -> bool {
-    const L: usize = sma_grid::simd::LANES;
-    let (w, h) = f.dims();
-    let mut changed = false;
-    let mut xs: Vec<usize> = Vec::with_capacity(w);
-    for y in 0..h {
-        xs.clear();
-        xs.extend((0..w).filter(|&x| !ok.at(x, y)));
-        if xs.is_empty() {
-            continue;
-        }
-        sma_grid::simd::note_rows(1, xs.len());
-        for chunk in xs.chunks(L) {
-            let mut sum = [Vec2::ZERO; L];
-            let mut n = [0u32; L];
-            for dy in -1isize..=1 {
-                let sy = y as isize + dy;
-                if sy < 0 || sy as usize >= h {
-                    continue;
-                }
-                let sy = sy as usize;
-                for dx in -1isize..=1 {
-                    for (l, &x) in chunk.iter().enumerate() {
-                        let sx = x as isize + dx;
-                        if sx >= 0 && (sx as usize) < w && ok.at(sx as usize, sy) {
-                            sum[l] = sum[l] + f.at(sx as usize, sy);
-                            n[l] += 1;
-                        }
-                    }
-                }
-            }
-            for (l, &x) in chunk.iter().enumerate() {
-                if n[l] > 0 {
-                    next_f.set(x, y, sum[l] * (1.0 / n[l] as f32));
-                    next_ok.set(x, y, true);
-                    changed = true;
-                }
             }
         }
     }
@@ -377,37 +321,6 @@ mod tests {
             assert_eq!(fa, fb, "flow diverged at passes={passes}");
             assert_eq!(oa, ob, "validity diverged at passes={passes}");
         }
-    }
-
-    /// The lane-chunked pass must match the scalar pass bit-for-bit,
-    /// including rows that are entirely invalid (a full chunk sweep with
-    /// no valid in-row neighbors) and a fully-invalid field (nothing
-    /// ever fills).
-    #[test]
-    fn fill_invalid_simd_toggle_is_bit_identical() {
-        let flow = FlowField::from_fn(19, 11, |x, y| {
-            Vec2::new((x as f32 * 0.7).sin() * 3.0, (y as f32 * 1.3).cos() * 2.0)
-        });
-        let patterns: [Grid<bool>; 3] = [
-            // Irregular islands.
-            Grid::from_fn(19, 11, |x, y| (x * 7 + y * 5 + x * y) % 4 != 0),
-            // Rows 3..=7 entirely invalid (refills from the rims).
-            Grid::from_fn(19, 11, |_, y| !(3..=7).contains(&y)),
-            // Everything invalid: no pass can ever fill anything.
-            Grid::filled(19, 11, false),
-        ];
-        let was = sma_grid::simd::enabled();
-        for valid in &patterns {
-            for passes in 0..=6 {
-                sma_grid::simd::set_enabled(false);
-                let (fa, oa) = fill_invalid(&flow, valid, passes);
-                sma_grid::simd::set_enabled(true);
-                let (fb, ob) = fill_invalid(&flow, valid, passes);
-                assert_eq!(fa, fb, "flow diverged at passes={passes}");
-                assert_eq!(oa, ob, "validity diverged at passes={passes}");
-            }
-        }
-        sma_grid::simd::set_enabled(was);
     }
 
     #[test]

@@ -477,29 +477,25 @@ pub(crate) fn solve_samples(samples: &[TemplateSample]) -> Option<([f64; 6], f64
     // commute exactly in IEEE arithmetic, so this is bit-identical to
     // the dense accumulation at ~40% fewer multiply-adds.
     //
-    // The per-sample product block (6 products, no accumulator
-    // dependence) is lane-chunked when the SIMD kernels are enabled; the
-    // 18 accumulator adds stay in the exact per-sample order either way,
-    // so the two paths are bit-identical — this kernel feeds the
+    // Samples accumulate one at a time, in order: this kernel feeds the
     // sequential driver, whose output is the stored conformance oracle.
+    // A plain loop, because its lane-blocked form measured no faster
+    // (DESIGN.md §12).
     let mut ata = [0.0f64; 36];
     let mut atb = [0.0f64; 6];
-    #[inline]
-    fn products(s: &TemplateSample) -> [f64; 8] {
-        [
+    for s in samples {
+        let (zx_e, zy_e, b1, inv_e) = (
             -s.zx * s.inv_e,
             -s.zy * s.inv_e,
             (s.gx_obs - s.zx) * s.inv_e,
             s.inv_e,
+        );
+        let (zx_g, zy_g, b2, inv_g) = (
             -s.zx * s.inv_g,
             -s.zy * s.inv_g,
             (s.gy_obs - s.zy) * s.inv_g,
             s.inv_g,
-        ]
-    }
-    #[inline]
-    fn accumulate(ata: &mut [f64; 36], atb: &mut [f64; 6], p: &[f64; 8]) {
-        let [zx_e, zy_e, b1, inv_e, zx_g, zy_g, b2, inv_g] = *p;
+        );
         // eps_1 row [zx_e, 0, zy_e, 0, inv_e, 0].
         ata[0] += zx_e * zx_e;
         ata[2] += zx_e * zy_e;
@@ -520,28 +516,6 @@ pub(crate) fn solve_samples(samples: &[TemplateSample]) -> Option<([f64; 6], f64
         atb[1] += zx_g * b2;
         atb[3] += zy_g * b2;
         atb[5] += inv_g * b2;
-    }
-    if sma_grid::simd::enabled() {
-        const L: usize = sma_grid::simd::LANES;
-        sma_grid::simd::note_rows(1, samples.len());
-        let chunks = samples.len() / L;
-        for c in 0..chunks {
-            let blk = &samples[c * L..(c + 1) * L];
-            let mut p = [[0.0f64; 8]; L];
-            for (l, s) in blk.iter().enumerate() {
-                p[l] = products(s);
-            }
-            for lane in &p {
-                accumulate(&mut ata, &mut atb, lane);
-            }
-        }
-        for s in &samples[chunks * L..] {
-            accumulate(&mut ata, &mut atb, &products(s));
-        }
-    } else {
-        for s in samples {
-            accumulate(&mut ata, &mut atb, &products(s));
-        }
     }
     for i in 0..6 {
         for j in (i + 1)..6 {
@@ -568,34 +542,10 @@ pub(crate) fn solve_samples(samples: &[TemplateSample]) -> Option<([f64; 6], f64
         solution = [0.0, 0.0, 0.0, 0.0, atb[4] / sum_ie2, atb[5] / sum_ig2];
     }
 
-    // Residual pass: the per-sample residual products are independent,
-    // so the SIMD path evaluates them in 8-sample lane blocks; the final
-    // `error +=` adds stay in sample order, keeping both paths
-    // bit-identical.
     let mut error = 0.0f64;
-    if sma_grid::simd::enabled() {
-        const L: usize = sma_grid::simd::LANES;
-        let chunks = samples.len() / L;
-        for c in 0..chunks {
-            let blk = &samples[c * L..(c + 1) * L];
-            let mut t = [0.0f64; L];
-            for (l, s) in blk.iter().enumerate() {
-                let (e1, e2) = s.residuals(&solution);
-                t[l] = e1 * e1 + e2 * e2;
-            }
-            for v in t {
-                error += v;
-            }
-        }
-        for s in &samples[chunks * L..] {
-            let (e1, e2) = s.residuals(&solution);
-            error += e1 * e1 + e2 * e2;
-        }
-    } else {
-        for s in samples {
-            let (e1, e2) = s.residuals(&solution);
-            error += e1 * e1 + e2 * e2;
-        }
+    for s in samples {
+        let (e1, e2) = s.residuals(&solution);
+        error += e1 * e1 + e2 * e2;
     }
     Some((solution, error))
 }
@@ -783,45 +733,5 @@ mod tests {
         let frames = SmaFrames::prepare(&before, &after, &before, &after, &cfg).expect("prepare");
         let (affine, _) = evaluate_hypothesis(&frames, &cfg, 20, 20, 0, 0).unwrap();
         assert!((affine.z0 - 5.0).abs() < 1e-4);
-    }
-
-    /// The lane-chunked `solve_samples` accumulation must be bit-identical
-    /// to the scalar path for any sample count, including non-multiples
-    /// of the lane width.
-    #[test]
-    fn solve_samples_simd_toggle_is_bit_identical() {
-        let was = sma_grid::simd::enabled();
-        for count in [1usize, 5, 7, 8, 9, 16, 23, 49, 121] {
-            let samples: Vec<TemplateSample> = (0..count)
-                .map(|i| {
-                    let t = i as f64 * 0.37;
-                    TemplateSample {
-                        zx: (t * 1.3).sin() * 2.0,
-                        zy: (t * 0.7).cos() * 1.5,
-                        inv_e: 1.0 / (1.0 + (t.sin() * 2.0).powi(2)),
-                        inv_g: 1.0 / (1.0 + (t.cos() * 1.5).powi(2)),
-                        gx_obs: (t * 1.3 + 0.2).sin() * 2.0,
-                        gy_obs: (t * 0.7 + 0.1).cos() * 1.5,
-                    }
-                })
-                .collect();
-            sma_grid::simd::set_enabled(false);
-            let scalar = solve_samples(&samples);
-            sma_grid::simd::set_enabled(true);
-            let simd = solve_samples(&samples);
-            sma_grid::simd::set_enabled(was);
-            match (scalar, simd) {
-                // Tiny sample sets are rank-deficient: both paths must
-                // agree the system is singular.
-                (None, None) => {}
-                (Some((ps, es)), Some((pv, ev))) => {
-                    for k in 0..6 {
-                        assert_eq!(ps[k].to_bits(), pv[k].to_bits(), "param {k} count {count}");
-                    }
-                    assert_eq!(es.to_bits(), ev.to_bits(), "error count {count}");
-                }
-                (a, b) => panic!("solvability diverged at count {count}: {a:?} vs {b:?}"),
-            }
-        }
     }
 }

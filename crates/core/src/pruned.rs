@@ -1337,22 +1337,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn simd_toggle_off_still_bit_identical() {
-        // SMA_SIMD=off routes the *grid* kernels back to scalar loops;
-        // the driver's own moment path must not care.
-        let cfg = SmaConfig::small_test(MotionModel::Continuous);
-        let f = frames_for_shift(1.0, 0.0, &cfg);
-        let region = Region::Interior { margin: 10 };
-        sma_grid::simd::set_enabled(false);
-        let off = track_all_pruned(&f, &cfg, region).expect("simd off");
-        sma_grid::simd::set_enabled(true);
-        let on = track_all_pruned(&f, &cfg, region).expect("simd on");
-        for (x, y) in on.region.pixels() {
-            assert_eq!(on.estimates.at(x, y), off.estimates.at(x, y), "({x},{y})");
-        }
-    }
-
     /// The first pair of `seq`, prepared under `cfg`.
     fn first_pair(seq: &SceneSequence, cfg: &SmaConfig) -> SmaFrames {
         SmaFrames::prepare(

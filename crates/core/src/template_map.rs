@@ -30,10 +30,8 @@ pub fn discriminant_match_score(
     nst: usize,
 ) -> f64 {
     let n = nst as isize;
-    if sma_grid::simd::enabled() {
-        if let Some(score) = interior_match_score(disc_before, disc_after, px, py, qx, qy, n) {
-            return score;
-        }
+    if let Some(score) = interior_match_score(disc_before, disc_after, px, py, qx, qy, n) {
+        return score;
     }
     let mut score = 0.0f64;
     for dv in -n..=n {
@@ -320,9 +318,9 @@ mod tests {
         let _ = plane.at(5, 0);
     }
 
-    /// The interior lane kernel must be bit-identical to the clamped
-    /// scalar sweep, and border positions (where the fast path declines)
-    /// must keep producing the clamped answer with the toggle on.
+    /// Both paths of the score — the interior lane kernel and the
+    /// clamped sweep at borders — must be bit-identical to a clamped
+    /// brute-force sum, for windows narrower and wider than a lane block.
     #[test]
     fn simd_match_score_is_bit_identical_to_scalar() {
         let before = Grid::from_fn(21, 17, |x, y| {
@@ -331,9 +329,14 @@ mod tests {
         let after = Grid::from_fn(21, 17, |x, y| {
             ((x as f32 * 0.7 + 0.4).sin() - (y as f32 * 0.9).sin()) * (1.0 - y as f32 * 0.02)
         });
-        let was = sma_grid::simd::enabled();
+        let at = |g: &Grid<f32>, x: isize, y: isize| {
+            let cx = x.clamp(0, g.width() as isize - 1) as usize;
+            let cy = y.clamp(0, g.height() as isize - 1) as usize;
+            g.at(cx, cy) as f64
+        };
         // nst spanning lane widths: side = 3, 7, 9, 11.
         for nst in [1usize, 3, 4, 5] {
+            let n = nst as isize;
             for (px, py, qx, qy) in [
                 (10, 8, 10, 8),   // interior / interior
                 (10, 8, 12, 7),   // interior, shifted interior
@@ -341,17 +344,20 @@ mod tests {
                 (10, 8, 20, 16),  // after window clamps
                 (-3, -2, 25, 30), // both fully outside
             ] {
-                sma_grid::simd::set_enabled(false);
-                let scalar = discriminant_match_score(&before, &after, px, py, qx, qy, nst);
-                sma_grid::simd::set_enabled(true);
-                let simd = discriminant_match_score(&before, &after, px, py, qx, qy, nst);
+                let mut brute = 0.0f64;
+                for dv in -n..=n {
+                    for du in -n..=n {
+                        let diff = at(&after, qx + du, qy + dv) - at(&before, px + du, py + dv);
+                        brute += diff * diff;
+                    }
+                }
+                let score = discriminant_match_score(&before, &after, px, py, qx, qy, nst);
                 assert_eq!(
-                    scalar.to_bits(),
-                    simd.to_bits(),
+                    brute.to_bits(),
+                    score.to_bits(),
                     "nst {nst} p ({px},{py}) q ({qx},{qy})"
                 );
             }
         }
-        sma_grid::simd::set_enabled(was);
     }
 }

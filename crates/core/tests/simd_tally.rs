@@ -18,7 +18,6 @@ fn counter(name: &str) -> u64 {
 #[test]
 fn interior_score_tallies_the_whole_window_once() {
     sma_obs::set_level(sma_obs::ObsLevel::Summary);
-    sma_grid::simd::set_enabled(true);
     let before = Grid::from_fn(32, 32, |x, y| ((x * 7 + y * 13) % 17) as f32 * 0.25);
     let after = Grid::from_fn(32, 32, |x, y| ((x * 5 + y * 11) % 19) as f32 * 0.25);
     for (nst, lanes, tail) in [(2usize, 0u64, 25u64), (4, 9, 9)] {

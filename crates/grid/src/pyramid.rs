@@ -9,7 +9,6 @@
 //! by 2 per level (Burt–Adelson Gaussian pyramid).
 
 use crate::border::BorderPolicy;
-use crate::filter::binomial_smooth;
 use crate::grid::Grid;
 use crate::warp::sample_bilinear;
 
@@ -76,18 +75,11 @@ impl Pyramid {
 /// Smooth-and-decimate by 2: output dims `ceil(w/2) x ceil(h/2)`, taking
 /// every even-indexed pixel of the binomially smoothed image.
 ///
-/// With the lane-chunked kernels enabled (the default) this routes
-/// through [`crate::simd::downsample_fused`], which skips the odd
-/// columns/rows the decimation would discard; the fused path is
-/// bit-identical to the smooth-then-sample reference below.
+/// Runs [`crate::simd::downsample_fused`], which skips the odd
+/// columns/rows the decimation would discard and is bit-identical to
+/// smoothing with `binomial_smooth(img, Reflect)` and then sampling.
 pub fn downsample(img: &Grid<f32>) -> Grid<f32> {
-    if crate::simd::enabled() {
-        return crate::simd::downsample_fused(img);
-    }
-    let sm = binomial_smooth(img, BorderPolicy::Reflect);
-    let w2 = img.width().div_ceil(2);
-    let h2 = img.height().div_ceil(2);
-    Grid::from_fn(w2, h2, |x, y| sm.at(2 * x, 2 * y))
+    crate::simd::downsample_fused(img)
 }
 
 /// Bilinear upsampling to an explicit target size. Values are sampled at

@@ -1,4 +1,4 @@
-//! Lane-chunked (8-wide) f32 kernels and the runtime SIMD toggle.
+//! Lane-chunked (8-wide) f32 kernels.
 //!
 //! The paper's target machine was a 16K-PE SIMD array; on a modern CPU
 //! the analogue of the PE array is the vector lane. The kernels here are
@@ -9,12 +9,9 @@
 //! exact per-pixel expression of the scalar path, and any reduction
 //! preserves the scalar accumulation order.
 //!
-//! The runtime toggle (`SMA_SIMD=off`, or [`set_enabled`]) routes the
-//! gated call sites back to their scalar loops; the conformance harness
-//! replays every driver under both settings and asserts that not one
-//! output bit moves.
-
-use std::sync::atomic::{AtomicU8, Ordering};
+//! A lane loop is kept only where it measured faster than the plain
+//! loop it would replace; each call site runs one loop, and tests pin
+//! that loop bit for bit to a plain scalar reference.
 
 use crate::border::BorderPolicy;
 use crate::filter::BINOMIAL_5;
@@ -37,56 +34,13 @@ pub fn note_rows(rows: usize, len: usize) {
     SCALAR_TAIL.add((rows * (len % LANES)) as u64);
 }
 
-/// Toggle state: 0 = uninitialized (consult `SMA_SIMD`), 1 = off, 2 = on.
-static STATE: AtomicU8 = AtomicU8::new(0);
-
-/// True when the lane-chunked kernels are enabled (the default).
-///
-/// First call consults the `SMA_SIMD` environment variable: `off`/`0`
-/// disables the kernels, `on`/`1` (or unset) enables them
-/// (case-insensitive, surrounding whitespace ignored). Anything else
-/// warns once on stderr and keeps the default — a typo must not
-/// silently change which kernels a run used.
-#[inline]
-pub fn enabled() -> bool {
-    match STATE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            let on = match std::env::var("SMA_SIMD") {
-                Ok(v) => match v.trim().to_ascii_lowercase().as_str() {
-                    "off" | "0" => false,
-                    "on" | "1" | "" => true,
-                    _ => {
-                        sma_obs::env::warn_misparse(
-                            "SMA_SIMD",
-                            &v,
-                            "on|off (or 1|0)",
-                            "SIMD kernels stay on",
-                        );
-                        true
-                    }
-                },
-                Err(_) => true,
-            };
-            STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-            on
-        }
-    }
-}
-
-/// Set the toggle programmatically (the conformance runtime combos use
-/// this to replay every driver with the kernels off).
-pub fn set_enabled(on: bool) {
-    STATE.store(if on { 2 } else { 1 }, Ordering::Relaxed);
-}
-
-/// Fused smooth-and-decimate by 2, bit-identical to
-/// `binomial_smooth(img, Reflect)` sampled at even pixels (the scalar
-/// [`crate::pyramid::downsample`]): the row convolution is evaluated
-/// only at even columns (for every row), then the column convolution
-/// only at even rows — half the row work and three quarters of the
-/// column work of the scalar path, before lane parallelism.
+/// Fused smooth-and-decimate by 2 (the kernel behind
+/// [`crate::pyramid::downsample`]), bit-identical to
+/// `binomial_smooth(img, Reflect)` sampled at even pixels: the row
+/// convolution is evaluated only at even columns (for every row), then
+/// the column convolution only at even rows — half the row work and
+/// three quarters of the column work of smoothing the whole image
+/// first, before lane parallelism.
 ///
 /// Per output pixel the five taps accumulate in kernel-index order into
 /// an `acc` that starts at zero, exactly like `convolve_rows` /
@@ -191,16 +145,6 @@ pub fn downsample_fused(img: &Grid<f32>) -> Grid<f32> {
 mod tests {
     use super::*;
     use crate::filter::binomial_smooth;
-
-    #[test]
-    fn env_default_is_on_and_toggle_round_trips() {
-        set_enabled(true);
-        assert!(enabled());
-        set_enabled(false);
-        assert!(!enabled());
-        set_enabled(true);
-        assert!(enabled());
-    }
 
     #[test]
     fn fused_downsample_is_bit_identical_to_scalar_reference() {

@@ -1,7 +1,7 @@
 //! One-time misparse warnings for the `SMA_*` environment knobs.
 //!
 //! Every runtime knob in the workspace (`SMA_OBS`, `SMA_FAULTS`,
-//! `SMA_SIMD`, `SMA_TRACE`) follows the same contract: an unrecognised
+//! `SMA_PRUNE`, `SMA_TRACE`) follows the same contract: an unrecognised
 //! value must never silently change behaviour — it falls back to the
 //! documented default *and* says so on stderr exactly once per process.
 //! This module is the shared implementation so the four knobs stay

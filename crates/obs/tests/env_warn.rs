@@ -2,11 +2,12 @@
 //!
 //! `sma_obs::env::warn_misparse` is the single shared implementation
 //! behind every `SMA_*` knob's typo warning — `SMA_OBS` (obs level
-//! init), `SMA_FAULTS` (fault-harness arming), `SMA_SIMD` and
-//! `SMA_TRACE`. This test pins the once-per-variable dedupe for the two
-//! variables that historically had *separate* warning helpers (the obs
-//! copy and the fault/serve copy), using the exact variable names those
-//! call sites pass, against the one shared registry.
+//! init), `SMA_FAULTS` (fault-harness arming), `SMA_PRUNE` (the pruned
+//! driver's candidate screen) and `SMA_TRACE`. This test pins the
+//! once-per-variable dedupe for the two variables that historically had
+//! *separate* warning helpers (the obs copy and the fault/serve copy),
+//! using the exact variable names those call sites pass, against the one
+//! shared registry.
 //!
 //! Neither variable is set in the test environment, so the library init
 //! paths cannot have consumed the registry keys before this test runs.
